@@ -471,7 +471,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            workers=args.server_workers, cache=cache,
                            max_depth=args.max_depth,
                            job_timeout=args.job_timeout,
-                           verbose=args.verbose,
                            slow_request_s=args.slow_request_s,
                            profile_slow_s=args.profile_slow_s,
                            trace_max_spans=args.trace_spans,
@@ -486,8 +485,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"cache={'disk:' + args.cache_dir if args.cache_dir else 'memory'})",
           file=sys.stderr)
     print("# endpoints: POST /jobs, GET /jobs/<key>, GET /results/<key>, "
-          "GET /metrics[/history], GET /slo, GET /alerts, GET /healthz, "
-          "GET /traces[/<id>]", file=sys.stderr)
+          "GET /metrics[/history|/sample], GET /slo, GET /alerts, "
+          "GET /healthz, GET /traces[/<id>]", file=sys.stderr)
 
     def _sigterm(_signum, _frame):  # SIGTERM drains gracefully, like Ctrl-C
         raise KeyboardInterrupt
@@ -537,7 +536,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         gateway = ClusterGateway(urls, host=args.host, port=args.port,
                                  mode=args.mode,
                                  health_interval=args.health_interval,
-                                 verbose=args.verbose, monitor=monitor)
+                                 monitor=monitor)
         gateway.start()
     except OSError as exc:  # e.g. the gateway port is already taken
         print(f"error: could not start the gateway: {exc}", file=sys.stderr)
@@ -549,7 +548,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
           f"{args.mode} placement, {args.server_workers} workers/shard)",
           file=sys.stderr)
     print("# endpoints: POST /jobs, POST /portfolio, GET /jobs/<key>, "
-          "GET /results/<key>, GET /metrics[/history], GET /slo, "
+          "GET /results/<key>, GET /metrics[/history|/sample], GET /slo, "
           "GET /alerts, GET /healthz, GET /traces[/<id>]", file=sys.stderr)
 
     def _sigterm(_signum, _frame):  # SIGTERM drains gracefully, like Ctrl-C

@@ -14,8 +14,8 @@ door:
 * :mod:`repro.cluster.gateway` — :class:`ClusterGateway`: the same JSON API
   as one server (``POST /jobs`` / ``POST /portfolio``, ``GET /jobs/<key>``,
   ``GET /results/<key>``), client-transparent failover onto the next ring
-  member when a shard dies, and an aggregated ``GET /metrics`` merging every
-  shard's counters and fixed-bucket histograms.
+  member when a shard dies, and a fleet metrics sample merging every
+  shard's ``/metrics/sample`` counters and fixed-bucket histograms.
 * :mod:`repro.cluster.local` — :class:`LocalShardFleet`: spawn/kill real
   local shard processes (``repro cluster serve --shards N``).
 

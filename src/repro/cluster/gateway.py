@@ -14,19 +14,26 @@ nothing else changes:
 * ``GET /jobs/<key>`` / ``GET /results/<key>`` — proxied to the owning shard;
   a 404 falls through to the remaining members in preference order, so a
   ticket that failed over to a neighbour is still found.
+* ``GET /metrics/sample`` — the fleet sample: every shard's structured
+  ``/metrics/sample`` JSON summed leaf by leaf (counters, tenant counters,
+  cumulative histogram buckets; the fixed-bucket design makes shard
+  histograms mergeable by adding cumulative bucket counts).  A dead shard
+  contributes its last-known values, and a restarted shard's monotone
+  values are offset so merged counters never go backwards.
 * ``GET /metrics`` — cluster-level Prometheus exposition: the gateway's own
-  ``repro_cluster_shard_*`` counters plus every shard's counters and
-  histograms summed sample-by-sample (the fixed-bucket design makes shard
-  histograms mergeable by adding cumulative bucket counts; p50/p95 are
-  recomputed from the merged buckets).
+  ``repro_cluster_shard_*`` counters plus the merged shard sample, rendered
+  by the servers' renderer (:func:`~repro.server.metrics.render_prometheus`)
+  so p50/p95 are recomputed from the merged buckets.
 * ``GET /metrics/history`` / ``GET /slo`` / ``GET /alerts`` — the fleet
   monitoring layer: the gateway runs its own
-  :class:`~repro.obs.monitor.Monitor` whose metrics source is the merged
-  shard scrape, so rolling windows, SLO budgets and burn-rate alerts are
+  :class:`~repro.obs.monitor.Monitor` whose metrics source is the fleet
+  sample, so rolling windows, SLO budgets and burn-rate alerts are
   computed over *fleet-level* cumulative series (merged counters difference
   exactly like a single shard's).  ``/alerts`` additionally fans out to
   every shard and merges their alert payloads, so shard-local alerts (which
   carry exemplar trace ids) surface at the cluster edge.
+* ``GET /traces`` / ``GET /traces/<id>`` — digests and span trees stitched
+  from the gateway and every shard.
 * ``GET /healthz`` — gateway liveness plus per-shard health.
 
 **Failover** is client-transparent: when a shard cannot be reached at all the
@@ -35,6 +42,11 @@ hysteresis) and retries the next ring member, so the client sees one normal
 reply.  HTTP-level errors (400/404/429/503) are *passed through* — a shard
 saying "queue full" or "draining" is alive, and the client's existing
 429/503 retry behaviour handles it unchanged.
+
+The request handler and the server lifecycle are the shared HTTP core of
+:mod:`repro.server.http` (:class:`~repro.server.http.JsonHandler`,
+:class:`~repro.server.http.HttpService`); this module adds only the
+proxying, the fan-out views and the sample merge.
 """
 
 from __future__ import annotations
@@ -45,28 +57,24 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlsplit
+from typing import Iterator
 
 from repro.cluster.health import HealthMonitor
 from repro.cluster.ring import ShardMember, ShardRing
 from repro.obs.logging import get_logger
 from repro.obs.monitor import Monitor, MonitorConfig
 from repro.obs.store import get_store
-from repro.obs.timeseries import sample_from_prometheus
-from repro.obs.trace import (TRACE_HEADER, TraceContext, activate,
-                             current_trace, record_span, span)
-# The gateway enforces the backend's exact edge limits; importing them keeps
-# the two layers in lockstep when either bound changes.
-from repro.server.http import MAX_BODY_BYTES, MAX_WAIT_S
-from repro.server.metrics import iter_samples
+from repro.obs.trace import TRACE_HEADER, current_trace, record_span, span
+# The gateway shares the backend's HTTP core, so its edge limits and reply
+# plumbing stay in lockstep with a shard's.
+from repro.server.http import JOB_ROUTES, HttpService, JsonHandler
+from repro.server.metrics import render_prometheus
 from repro.server.tenancy import TENANT_HEADER, normalize_tenant
-from repro.service.jobs import CompileJob, PortfolioJob
 
 #: Socket headroom added on top of a proxied blocking wait.
 PROXY_MARGIN_S = 30.0
-#: Histograms recomputed (p50/p95) from merged shard buckets.
-_HISTOGRAMS = ("job_wait_seconds", "job_service_seconds")
+#: Names the shard that answered a proxied request.
+SHARD_HEADER = "X-Repro-Shard"
 
 _LOG = get_logger("cluster.gateway")
 
@@ -79,27 +87,37 @@ class NoShardAvailableError(RuntimeError):
     """Every shard in the ring was unreachable for a forwarded request."""
 
 
-def _is_monotone_sample(name: str) -> bool:
-    """Whether a Prometheus sample name is monotone (counter-like).
+def _leaves(sample: dict, path: tuple = ()) -> Iterator[tuple[tuple, float]]:
+    """Flatten a metrics sample into ``(path, value)`` leaves.
 
-    Judged on the base name before any label block so tenant-labelled
-    counters and histogram series are covered; gauges (depths, utilization,
-    percentiles) are not.
+    A histogram's cumulative bucket list becomes one leaf per bound (the
+    path ends in the float bound), so sums and restart offsets treat every
+    bucket like any other counter.
     """
-    base = name.partition("{")[0]
-    return base.endswith(("_total", "_sum", "_count", "_bucket"))
+    for key, value in sample.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        elif isinstance(value, (list, tuple)):
+            for bound, cumulative in value:
+                yield path + (key, float(bound)), cumulative
+        else:
+            yield path + (key,), value
 
 
-def _format_value(value: float) -> str:
-    # Unlike server.metrics._format_value (which renders live Python values
-    # and must keep e.g. bucket bounds as "1.0"), merged samples are *parsed*
-    # floats: counters re-render as integers so the aggregate exposition
-    # matches what a single shard would emit.
-    if value == float("inf"):
-        return "+Inf"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
+def _nest(leaves: dict[tuple, float]) -> dict:
+    """Rebuild the nested sample from :func:`_leaves` output."""
+    sample: dict = {}
+    for path, value in sorted(leaves.items()):
+        bucket = isinstance(path[-1], float)  # (..., "buckets", bound)
+        *head, key = path[:-1] if bucket else path
+        node = sample
+        for part in head:
+            node = node.setdefault(part, {})
+        if bucket:
+            node.setdefault(key, []).append((path[-1], value))
+        else:
+            node[key] = value
+    return sample
 
 
 class GatewayMetrics:
@@ -190,178 +208,33 @@ class GatewayMetrics:
         return lines
 
 
-class _GatewayHandler(BaseHTTPRequestHandler):
-    """Routes requests to the owning :class:`ClusterGateway` (``server.app``)."""
+class _GatewayHandler(JsonHandler):
+    """Routes requests to the owning :class:`ClusterGateway`."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-cluster-gateway"
+    span_name = "gateway.request"
+    logger = _LOG
 
-    @property
-    def app(self) -> "ClusterGateway":
-        return self.server.app  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 — stdlib signature
-        _LOG.debug("http_access", client=self.address_string(),
-                   message=format % args)
-
-    # ------------------------------------------------------------------ #
-    def _reply(self, status: int, payload: dict | str, *,
-               content_type: str = "application/json",
-               shard: str | None = None) -> None:
-        trace = getattr(self, "_trace", None)
-        entry = getattr(self, "_span", None)
-        if entry is not None:
-            entry.attributes["status"] = status
-        body = (payload if isinstance(payload, str)
-                else json.dumps(payload, sort_keys=True)).encode("utf-8")
-        self.send_response(status)
-        if trace is not None:
-            self.send_header(TRACE_HEADER, trace.to_header())
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if shard is not None:
-            self.send_header("X-Repro-Shard", shard)
-        if status == 429:
-            self.send_header("Retry-After", "1")
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_raw(self, status: int, body: bytes, content_type: str,
-                   shard: str) -> None:
-        trace = getattr(self, "_trace", None)
-        entry = getattr(self, "_span", None)
-        if entry is not None:
-            entry.attributes["status"] = status
-        self.send_response(status)
-        if trace is not None:
-            self.send_header(TRACE_HEADER, trace.to_header())
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Repro-Shard", shard)
-        if status == 429:
-            self.send_header("Retry-After", "1")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status: int, message: str) -> None:
-        self._reply(status, {"error": message})
-
-    def _read_json(self) -> dict | None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            self._error(400, "request body required")
-            return None
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-            return None
-        try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._error(400, f"invalid JSON body: {exc}")
-            return None
-        if not isinstance(payload, dict):
-            self._error(400, "JSON body must be an object")
-            return None
-        return payload
-
-    # ------------------------------------------------------------------ #
-    def do_GET(self) -> None:  # noqa: N802 — stdlib naming
-        # Request-scoped trace state must not leak across keep-alive
-        # requests on this connection (handlers live per connection).
-        self._trace = None
-        self._span = None
+    def _begin(self) -> str:
         self.app.metrics.record_request()
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        if path == "/healthz":
-            self._reply(200, self.app.health())
-        elif path == "/metrics":
-            self._reply(200, self.app.aggregated_metrics(),
-                        content_type="text/plain; version=0.0.4")
-        elif path == "/metrics/history":
-            self._get_monitor("history")
-        elif path == "/slo":
-            self._get_monitor("slo")
-        elif path == "/alerts":
-            self._get_monitor("alerts")
-        elif path == "/traces":
-            self._reply(200, self.app.trace_summaries(
-                self._query_int("limit", 50)))
-        elif path.startswith("/traces/"):
-            stitched = self.app.fetch_trace(path[len("/traces/"):])
-            if stitched is None:
-                self._error(404, f"no trace for {path[len('/traces/'):]!r}")
-            else:
-                self._reply(200, stitched)
-        elif path.startswith("/jobs/") or path.startswith("/results/"):
+        return super()._begin()
+
+    def _handle_get(self, path: str) -> None:
+        if path.startswith("/jobs/") or path.startswith("/results/"):
             key = path.rsplit("/", 1)[1]
             self._proxy(key, "GET", path)
         else:
-            self._error(404, f"unknown path {path!r}")
-
-    def _query_int(self, name: str, default: int) -> int:
-        for item in urlsplit(self.path).query.split("&"):
-            key, sep, value = item.partition("=")
-            if sep and key == name:
-                try:
-                    return int(value)
-                except ValueError:
-                    return default
-        return default
-
-    def _get_monitor(self, view: str) -> None:
-        monitor = self.app.monitor
-        if monitor is None or not monitor.enabled:
-            self._error(503, "monitoring is disabled on this gateway")
-            return
-        if view == "history":
-            seconds = self._query_int("seconds", 0)
-            self._reply(200, monitor.history_payload(
-                float(seconds) if seconds > 0 else None))
-        elif view == "slo":
-            self._reply(200, monitor.slo_payload())
-        else:
-            self._reply(200, self.app.merged_alerts(
-                self._query_int("limit", 100)))
-
-    def do_POST(self) -> None:  # noqa: N802 — stdlib naming
-        self.app.metrics.record_request()
-        path = self.path.split("?", 1)[0].rstrip("/")
-        # Continue or mint the trace at the cluster edge; the context is
-        # re-propagated to the owning shard on every proxy attempt, so the
-        # shard's spans join this same trace.
-        context = (TraceContext.from_header(self.headers.get(TRACE_HEADER))
-                   or TraceContext.new())
-        self._trace = context
-        self._span = None
-        with activate(context):
-            with span("gateway.request", method="POST", path=path) as entry:
-                self._span = entry
-                self._handle_post(path)
+            super()._handle_get(path)
 
     def _handle_post(self, path: str) -> None:
-        if path == "/jobs":
-            job_cls = CompileJob
-        elif path == "/portfolio":
-            job_cls = PortfolioJob
-        else:
-            self._error(404, f"unknown path {self.path!r}")
+        # A malformed job is rejected at the edge with the backend's exact
+        # contract, so it never costs a shard round-trip.
+        submission = self._read_submission(path)
+        if submission is None:
+            if path in JOB_ROUTES:  # a 400/413, not an unknown route
+                self.app.metrics.record_bad_request()
             return
-        payload = self._read_json()
-        if payload is None:
-            self.app.metrics.record_bad_request()
-            return
-        try:
-            job = job_cls.from_dict(payload.get("job", payload))
-            wait_timeout = min(float(payload.get("timeout", 30.0)), MAX_WAIT_S)
-        except (KeyError, TypeError, ValueError) as exc:
-            # Reject at the edge with the backend's exact contract — a
-            # malformed job never costs a shard round-trip.
-            self.app.metrics.record_bad_request()
-            self._error(400, f"bad job payload: {exc}")
-            return
+        job, payload, wait_timeout = submission
         # Tenant identity travels in the header (never the payload), so the
         # job key — and therefore shard placement and coalescing — is
         # identical for every tenant submitting the same spec.
@@ -386,10 +259,11 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         except NoShardAvailableError as exc:
             self._error(503, str(exc))
             return
-        self._reply_raw(status, reply_body, content_type, shard.name)
+        self._reply(status, reply_body, content_type=content_type,
+                    headers={SHARD_HEADER: shard.name})
 
 
-class ClusterGateway:
+class ClusterGateway(HttpService):
     """HTTP gateway fronting N :class:`CompileServer` shards.
 
     Parameters
@@ -408,70 +282,47 @@ class ClusterGateway:
     monitor:
         Fleet monitoring configuration (``None`` = defaults, ``False`` =
         disabled, dict / :class:`~repro.obs.monitor.MonitorConfig` =
-        overrides).  The monitor's metrics source is the merged shard
-        scrape, so its windows/SLOs/alerts describe the whole fleet.
+        overrides).  The monitor's metrics source is the merged fleet
+        sample, so its windows/SLOs/alerts describe the whole fleet.
     """
+
+    role = "gateway"
 
     def __init__(self, shards, host: str = "127.0.0.1", port: int = 0, *,
                  mode: str = "rendezvous", replicas: int = 64,
                  health_interval: float = 1.0, probe_timeout: float = 2.0,
                  fail_threshold: int = 2, ok_threshold: int = 1,
-                 proxy_timeout: float = 30.0, verbose: bool = False,
+                 proxy_timeout: float = 30.0,
                  monitor: MonitorConfig | dict | bool | None = None):
-        self.verbose = verbose
         self.proxy_timeout = proxy_timeout
         self.ring = ShardRing(shards, mode=mode, replicas=replicas)
         self.health_monitor = HealthMonitor(
             self.ring, interval=health_interval, timeout=probe_timeout,
             fail_threshold=fail_threshold, ok_threshold=ok_threshold)
         self.metrics = GatewayMetrics()
-        # Last successfully-scraped samples per shard: an unreachable or
-        # ejected shard keeps contributing its last-known counters so the
+        # Last successfully-fetched sample leaves per shard: an unreachable
+        # or ejected shard keeps contributing its last-known values so the
         # merged totals never go backwards (a Prometheus counter-reset dip
         # would make rate()/increase() misfire exactly during an outage).
         self._samples_lock = threading.Lock()
-        self._last_samples: dict[str, list[tuple[str, float]]] = {}  #: guarded by self._samples_lock
+        self._last_samples: dict[str, dict[tuple, float]] = {}  #: guarded by self._samples_lock
         # Counter-reset compensation per shard: when a restarted shard
-        # reports a monotone sample *below* its last raw reading, the old
+        # reports a monotone leaf *below* its last raw reading, the old
         # reading is banked as an offset so the shard's merged contribution
-        # (raw + offset) keeps counting from where it left off.  Works
-        # per full labelled name, so tenant-labelled counters stay monotone
-        # across restarts too.
-        self._raw_counters: dict[str, dict[str, float]] = {}  #: guarded by self._samples_lock
-        self._counter_offsets: dict[str, dict[str, float]] = {}  #: guarded by self._samples_lock
-        # Same backlog bump as CompileServer: the stdlib default
-        # request_queue_size=5 resets connections under a client-herd burst.
-        self._httpd = ThreadingHTTPServer((host, port), _GatewayHandler,
-                                          bind_and_activate=False)
-        self._httpd.request_queue_size = 128
-        self._httpd.server_bind()
-        self._httpd.server_activate()
-        self._httpd.daemon_threads = True
-        self._httpd.app = self  # type: ignore[attr-defined]
-        self._http_thread: threading.Thread | None = None
-        self._started_at: float | None = None
-        self.monitor = Monitor(self._fleet_sample, monitor, name="gateway")
-
-    # ------------------------------------------------------------------ #
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
+        # (raw + offset) keeps counting from where it left off.  Works per
+        # leaf, so tenant counters and histogram buckets stay monotone too.
+        self._raw_counters: dict[str, dict[tuple, float]] = {}  #: guarded by self._samples_lock
+        self._counter_offsets: dict[str, dict[tuple, float]] = {}  #: guarded by self._samples_lock
+        self.monitor = Monitor(self.metrics_sample, monitor, name="gateway")
+        self._bind(host, port, _GatewayHandler)
 
     def health(self) -> dict:
-        uptime = (time.monotonic() - self._started_at
-                  if self._started_at is not None else 0.0)
         shards = self.health_monitor.snapshot()
         return {
             "status": "ok",
-            "role": "gateway",
+            "role": self.role,
             "mode": self.ring.mode,
-            "uptime_s": round(uptime, 3),
+            "uptime_s": round(self._uptime(), 3),
             "shards": shards,
             "shards_alive": sum(1 for shard in shards if shard["alive"]),
             "ejections": self.health_monitor.ejections,
@@ -618,8 +469,7 @@ class ClusterGateway:
                         tenant=tenant)
                     if entry is not None:
                         entry.attributes["status"] = status
-            except (ConnectionError, TimeoutError,
-                    http.client.HTTPException, urllib.error.URLError) as exc:
+            except _TRANSPORT_ERRORS as exc:
                 if member.alive:
                     # Last-ditch attempts against already-ejected members
                     # are expected to fail; don't skew failover counters
@@ -670,73 +520,74 @@ class ClusterGateway:
                     exc.headers.get("Content-Type", "application/json"))
 
     # ------------------------------------------------------------------ #
-    def _scrape_merged(self) -> tuple[dict[str, float], int, int]:
-        """Scrape every shard's ``/metrics`` and sum samples by name.
+    def merged_sample(self) -> tuple[dict, int, int]:
+        """Fetch every shard's ``/metrics/sample`` and sum them leaf by leaf.
 
         Returns ``(merged, polled, contributing)``: ``polled`` shards
-        answered this scrape, ``contributing`` shards added samples at all
-        (a dead shard contributes its last-known samples, and a restarted
-        shard's monotone samples are offset by its pre-restart values, so
-        cluster counters never go backwards across shard outages).
+        answered this round, ``contributing`` shards added values at all (a
+        dead shard contributes its last-known sample, and a restarted
+        shard's monotone values are offset by its pre-restart readings, so
+        fleet counters never go backwards across shard outages).  Summing
+        is valid for histograms because every shard uses the same fixed
+        bucket bounds.
         """
-        merged: dict[str, float] = {}
+        totals: dict[tuple, float] = {}
         polled = 0
         contributing = 0
         for member in self.ring.members:
-            samples: list[tuple[str, float]] | None = None
+            leaves: dict[tuple, float] | None = None
             try:
                 # Poll with the (short) health-probe timeout: a wedged shard
-                # must not stall the whole cluster's Prometheus scrape.
-                _, text, _ = self._request(
-                    member, "GET", "/metrics",
+                # must not stall the whole cluster's metrics.
+                status, body, _ = self._request(
+                    member, "GET", "/metrics/sample",
                     timeout=self.health_monitor.timeout)
             except _TRANSPORT_ERRORS:
                 if member.alive:
                     self.health_monitor.report_failure(member)
             else:
                 polled += 1
-                samples = [(name, value) for name, value
-                           in iter_samples(text.decode("utf-8",
-                                                       errors="replace"))
-                           if not name.endswith(("_p50", "_p95"))]
+                try:
+                    sample = json.loads(body.decode("utf-8", errors="replace"))
+                except ValueError:
+                    sample = None
+                if status == 200 and isinstance(sample, dict):
+                    with self._samples_lock:
+                        leaves = self._absorb_sample(member.name, sample)
+            if leaves is None:
                 with self._samples_lock:
-                    samples = self._absorb_scrape(member.name, samples)
-            if samples is None:
-                with self._samples_lock:
-                    samples = self._last_samples.get(member.name, [])
-            if samples:
+                    leaves = self._last_samples.get(member.name, {})
+            if leaves:
                 contributing += 1
-            for name, value in samples:
-                merged[name] = merged.get(name, 0.0) + value
-        return merged, polled, contributing
+            for path, value in leaves.items():
+                totals[path] = totals.get(path, 0) + value
+        return _nest(totals), polled, contributing
 
-    def _absorb_scrape(self, shard: str, samples: list[tuple[str, float]]
-                       ) -> list[tuple[str, float]]:
-        """Fold one fresh scrape into the per-shard caches (lock held).
+    def _absorb_sample(self, shard: str, sample: dict) -> dict[tuple, float]:
+        """Fold one fresh shard sample into the per-shard caches (lock held).
 
-        Monotone samples (``_total`` / ``_sum`` / ``_count`` / ``_bucket``,
-        matched on the base name before any label block) that regressed
-        below the shard's last raw reading signal a restart: the lost
-        progress is banked as an offset and every later reading is shifted
-        by it, keeping the merged series non-decreasing.  Gauges pass
-        through untouched — a restarted shard's queue depth really is small.
+        Every leaf outside ``gauges`` is monotone; one that regressed below
+        the shard's last raw reading signals a restart, so the lost progress
+        is banked as an offset and every later reading is shifted by it,
+        keeping the merged series non-decreasing.  Gauges pass through
+        untouched — a restarted shard's queue depth really is small.
         """
         raw = self._raw_counters.setdefault(shard, {})
         offsets = self._counter_offsets.setdefault(shard, {})
-        adjusted: list[tuple[str, float]] = []
-        for name, value in samples:
-            if _is_monotone_sample(name):
-                last = raw.get(name)
+        adjusted: dict[tuple, float] = {}
+        for path, value in _leaves(sample):
+            if path[0] != "gauges":
+                last = raw.get(path)
                 if last is not None and value < last:
-                    offsets[name] = offsets.get(name, 0.0) + last
-                raw[name] = value
-                value += offsets.get(name, 0.0)
-            adjusted.append((name, value))
+                    offsets[path] = offsets.get(path, 0) + last
+                raw[path] = value
+                value += offsets.get(path, 0)
+            adjusted[path] = value
         self._last_samples[shard] = adjusted
         return adjusted
 
-    def _fleet_sample(self) -> dict:
-        """The gateway monitor's metrics source: one fleet-level sample.
+    def metrics_sample(self) -> dict:
+        """The fleet sample: the monitor's source and ``GET /metrics/sample``.
 
         Merged shard counters/histograms are still *cumulative* series (sums
         of per-shard cumulative values), so the recorder differences them
@@ -744,9 +595,8 @@ class ClusterGateway:
         (sums of fractions) are averaged over the contributing shards; fleet
         topology and the gateway's own counters ride along.
         """
-        merged, polled, contributing = self._scrape_merged()
-        sample = sample_from_prometheus(merged, prefix="repro_server")
-        gauges = sample["gauges"]
+        sample, polled, contributing = self.merged_sample()
+        gauges = sample.setdefault("gauges", {})
         for name in ("worker_utilization", "queue_saturation",
                      "trace_span_ring_utilization"):
             if name in gauges:
@@ -755,11 +605,12 @@ class ClusterGateway:
         gauges["shards_alive"] = float(len(self.ring.alive_members()))
         gauges["shards_polled"] = float(polled)
         snapshot = self.metrics.snapshot()
-        sample["counters"]["gateway_failovers"] = float(snapshot["failovers"])
-        sample["counters"]["gateway_unrouted"] = float(snapshot["unrouted"])
+        counters = sample.setdefault("counters", {})
+        counters["gateway_failovers"] = float(snapshot["failovers"])
+        counters["gateway_unrouted"] = float(snapshot["unrouted"])
         return sample
 
-    def merged_alerts(self, limit: int | None = None) -> dict:
+    def alerts_payload(self, limit: int | None = None) -> dict:
         """Fleet ``GET /alerts``: gateway-level alerts + every shard's.
 
         The gateway's own burn-rate alerts watch the merged series; shard
@@ -802,99 +653,23 @@ class ClusterGateway:
         return payload
 
     # ------------------------------------------------------------------ #
-    def aggregated_metrics(self, prefix: str = "repro_cluster") -> str:
+    def metrics_text(self, prefix: str = "repro_cluster") -> str:
         """Cluster-wide Prometheus text: gateway counters + merged shards.
 
-        Every shard sample (counters, labelled counters, histogram buckets /
-        sums / counts, gauges) is summed by its full labelled name — valid
-        because every shard uses the same fixed histogram bucket bounds —
-        then re-exported under the ``repro_cluster`` prefix.  Histogram
-        p50/p95 gauges are recomputed from the merged cumulative buckets
-        instead of being (meaninglessly) summed.  A shard that cannot be
-        scraped (dead or ejected) contributes its last-known samples, so
-        cluster counters stay monotone across shard outages.
+        The merged shard sample (see :meth:`merged_sample`) is rendered
+        by the servers' own renderer under the ``repro_cluster`` prefix, so
+        histogram p50/p95 come from the merged cumulative buckets.
         """
-        merged, polled, _ = self._scrape_merged()
+        sample, polled, _ = self.merged_sample()
         lines = self.metrics.to_prometheus(self.ring, prefix)
         lines.append(f"# TYPE {prefix}_shards_polled gauge")
         lines.append(f"{prefix}_shards_polled {polled}")
-        for name in sorted(merged):
-            out = name.replace("repro_server_", f"{prefix}_", 1)
-            lines.append(f"{out} {_format_value(merged[name])}")
-        for histogram in _HISTOGRAMS:
-            for label, fraction in (("p50", 0.50), ("p95", 0.95)):
-                value = _merged_percentile(merged, histogram, fraction)
-                metric = f"{prefix}_{histogram}_{label}"
-                lines.append(f"# TYPE {metric} gauge")
-                lines.append(f"{metric} {_format_value(value)}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n" + render_prometheus(sample, prefix)
 
     # ------------------------------------------------------------------ #
-    def start(self) -> "ClusterGateway":
-        if self._http_thread is not None:
-            raise RuntimeError("gateway is already running")
+    def _start_workers(self) -> None:
         self.health_monitor.start()
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05},
-            daemon=True, name="repro-cluster-gateway")
-        self._http_thread.start()
-        self._started_at = time.monotonic()
-        self.monitor.start()
-        return self
 
     def stop(self, timeout: float = 10.0) -> None:
-        self.monitor.stop()
         self.health_monitor.stop()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._http_thread is not None:
-            self._http_thread.join(timeout)
-            self._http_thread = None
-
-    def serve_forever(self) -> None:
-        """Foreground mode for the CLI: block until interrupted."""
-        if self._http_thread is None:
-            self.start()
-        try:
-            while True:
-                time.sleep(0.5)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
-    def __enter__(self) -> "ClusterGateway":
-        return self.start()
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
-
-def _merged_percentile(merged: dict[str, float], histogram: str,
-                       fraction: float) -> float:
-    """Percentile upper bound from merged cumulative bucket samples."""
-    bucket_prefix = f"repro_server_{histogram}_bucket{{le=\""
-    buckets: list[tuple[float, float]] = []
-    for name, value in merged.items():
-        if name.startswith(bucket_prefix):
-            bound = name[len(bucket_prefix):].rstrip("\"}")
-            buckets.append((float("inf") if bound == "+Inf" else float(bound),
-                            value))
-    buckets.sort()
-    count = merged.get(f"repro_server_{histogram}_count", 0.0)
-    if count <= 0 or not buckets:
-        return 0.0
-    finite_covered = max((cumulative for bound, cumulative in buckets
-                          if bound != float("inf")), default=0.0)
-    if finite_covered <= 0:
-        # Every merged observation overflowed the last finite bound: report
-        # the merged mean (sum/count), mirroring Histogram.percentile.
-        return merged.get(f"repro_server_{histogram}_sum", 0.0) / count
-    target = fraction * count
-    last_finite = 0.0
-    for bound, cumulative in buckets:
-        if bound != float("inf"):
-            last_finite = bound
-            if cumulative >= target:
-                return bound
-    return last_finite
+        self._stop_http(timeout)

@@ -12,11 +12,11 @@ queues actually grow.
 :class:`LoadTest` drives a :class:`~repro.server.http.CompileServer` or a
 :class:`~repro.cluster.gateway.ClusterGateway` through the plain HTTP API
 with a configurable multi-tenant mix, then reads the result from the
-server's *own* tenant-labelled windowed histograms (scrape ``/metrics``
-before and after, difference the cumulative series with the same machinery
-the monitor uses).  The reported number is therefore the server's view of
-its latency distribution, not a client-side proxy, and per-tenant rows come
-for free from the tenant labels.
+server's *own* tenant-labelled windowed histograms (fetch the structured
+``/metrics/sample`` before and after, difference the cumulative series with
+the same machinery the monitor uses).  The reported number is therefore the
+server's view of its latency distribution, not a client-side proxy, and
+per-tenant rows come for free from the tenant labels.
 
 The ``repro loadtest`` CLI and ``benchmarks/test_loadtest_throughput.py``
 wrap this module; both write the sustained-throughput record to
@@ -30,10 +30,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.obs.timeseries import (MetricsSnapshot, _diff_window,
-                                  sample_from_prometheus)
+from repro.obs.timeseries import MetricsSnapshot, _diff_window
 from repro.server.client import CompileClient
-from repro.server.metrics import iter_samples
 from repro.server.tenancy import DEFAULT_TENANT, normalize_tenant
 from repro.service.jobs import CompileJob
 from repro.workloads import generators, qasm_corpus
@@ -150,9 +148,8 @@ class LoadTest:
     Parameters
     ----------
     url:
-        A live :class:`CompileServer` or :class:`ClusterGateway` base URL.
-        The Prometheus prefix is auto-detected from ``/healthz`` (gateways
-        export ``repro_cluster_*``, single servers ``repro_server_*``).
+        A live :class:`CompileServer` or :class:`ClusterGateway` base URL;
+        both serve the same JSON sample at ``/metrics/sample``.
     tenants:
         Weight map (or :class:`TenantMix`) for the submission mix.
     workload:
@@ -186,21 +183,16 @@ class LoadTest:
             tenant: CompileClient(self.url, retries=0, tenant=tenant,
                                   timeout=client_timeout)
             for tenant in self.mix.tenants}
-        self._prefix = self._detect_prefix()
-
-    def _detect_prefix(self) -> str:
-        health = CompileClient(self.url, retries=2).health()
-        return ("repro_cluster" if health.get("role") == "gateway"
-                else "repro_server")
+        # Reported with the results: the /metrics prefix of the target.
+        role = CompileClient(self.url, retries=2).health().get("role")
+        self._prefix = ("repro_cluster" if role == "gateway"
+                        else "repro_server")
 
     # ------------------------------------------------------------------ #
     def _snapshot(self) -> MetricsSnapshot:
         """The target's cumulative metrics, as the monitor would see them."""
-        text = CompileClient(self.url, retries=2).metrics_text()
-        samples = dict(iter_samples(text))
-        return MetricsSnapshot.capture(
-            time.monotonic(),
-            sample_from_prometheus(samples, prefix=self._prefix))
+        sample = CompileClient(self.url, retries=2).metrics_sample()
+        return MetricsSnapshot.capture(time.monotonic(), sample)
 
     def run_step(self, rate: float, duration: float) -> dict:
         """Offer ``rate`` jobs/s for ``duration`` seconds; measure from the

@@ -14,6 +14,12 @@ to take, windows of any length are free to evaluate, and merged cluster
 samples (which are themselves sums of cumulative counters) difference the
 same way.
 
+The source sample is the same structured dict a server serves as JSON at
+``GET /metrics/sample``; the cluster gateway sums its shards' samples into a
+fleet sample of the same shape, so no metrics path parses Prometheus text.
+:func:`percentile_from_cumulative` is the one percentile routine of the
+package: histograms, windowed views and the ``/metrics`` renderer use it.
+
 Everything takes an injectable ``clock`` so tests drive the ring with
 synthetic snapshot sequences instead of sleeps.
 """
@@ -47,11 +53,17 @@ def percentile_from_cumulative(buckets: Sequence[Sequence[float]],
                                total_sum: float = 0.0) -> float:
     """Upper-bound quantile from ``(finite_bound, cumulative_count)`` pairs.
 
-    Same contract as :meth:`repro.server.metrics.Histogram.percentile`: the
-    smallest bucket bound covering ``fraction`` of ``count`` observations;
-    when every observation overflowed the finite bounds the mean
-    (``total_sum / count``) is reported instead of a meaningless top bound.
+    The one percentile routine: histograms, windowed views and merged fleet
+    samples all call it.  Returns the smallest bucket bound whose cumulative
+    count covers ``fraction`` (0 < f <= 1) of ``count`` observations;
+    observations past the last bound report the last finite bound (an
+    under-estimate, flagged by the overflow count).  When *every*
+    observation overflowed the finite bounds say nothing at all, so the mean
+    (``total_sum / count``) is reported instead of a top bound that could be
+    arbitrarily far below reality.
     """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("fraction must be in (0, 1]")
     if count <= 0:
         return 0.0
     finite_covered = buckets[-1][1] if buckets else 0.0
@@ -191,8 +203,8 @@ class MetricsRecorder:
     source:
         Zero-arg callable returning a cumulative sample dict with
         ``counters`` / ``gauges`` / ``histograms`` keys (see
-        :meth:`~repro.server.metrics.ServerMetrics.history_sample` and
-        :func:`sample_from_prometheus`).
+        :meth:`~repro.server.metrics.ServerMetrics.history_sample`; the
+        cluster gateway's merged fleet sample has the same shape).
     interval_s:
         Background sampling period for :meth:`start`.
     max_samples:
@@ -341,107 +353,3 @@ class MetricsRecorder:
                 self.sample_now()
             except Exception:  # noqa: BLE001 — observability must not crash
                 self.sample_errors += 1
-
-
-# --------------------------------------------------------------------------- #
-# Prometheus-sample adapter (the cluster gateway's merged scrape)
-# --------------------------------------------------------------------------- #
-_HISTOGRAM_NAMES = (("job_wait_seconds", "wait_seconds"),
-                    ("job_service_seconds", "service_seconds"))
-_NON_GAUGE_SUFFIXES = ("_total", "_sum", "_count", "_p50", "_p95")
-
-
-def _tenants_from_prometheus(samples: Mapping[str, float],
-                             prefix: str) -> dict:
-    """Per-tenant counters and histograms from tenant-labelled samples.
-
-    Relies on the label order :meth:`ServerMetrics.to_prometheus` renders:
-    ``_bucket{tenant="...",le="..."}`` and ``_sum{tenant="..."}`` — the
-    tenant label always comes first.
-    """
-    tenants: dict[str, dict] = {}
-
-    def bucket_for(tenant: str) -> dict:
-        entry = tenants.get(tenant)
-        if entry is None:
-            entry = tenants[tenant] = {
-                "counters": {},
-                "histograms": {key: {"buckets": [], "sum": 0.0, "count": 0.0}
-                               for _, key in _HISTOGRAM_NAMES},
-            }
-        return entry
-
-    counter_head = f"{prefix}_tenant_jobs_"
-    for name, value in samples.items():
-        if name.startswith(counter_head):
-            base, sep, rest = name.partition('{tenant="')
-            if not sep or not base.endswith("_total"):
-                continue
-            counter = base[len(counter_head):-len("_total")]
-            tenant = rest.rstrip('"}')
-            bucket_for(tenant)["counters"][counter] = value
-    for metric, key in (("tenant_job_wait_seconds", "wait_seconds"),
-                        ("tenant_job_service_seconds", "service_seconds")):
-        bucket_head = f'{prefix}_{metric}_bucket{{tenant="'
-        sum_head = f'{prefix}_{metric}_sum{{tenant="'
-        count_head = f'{prefix}_{metric}_count{{tenant="'
-        for name, value in samples.items():
-            if name.startswith(bucket_head):
-                tenant, sep, bound = (name[len(bucket_head):-2]
-                                      .partition('",le="'))
-                if not sep or bound == "+Inf":
-                    continue
-                bucket_for(tenant)["histograms"][key]["buckets"].append(
-                    (float(bound), value))
-            elif name.startswith(sum_head):
-                tenant = name[len(sum_head):].rstrip('"}')
-                bucket_for(tenant)["histograms"][key]["sum"] = value
-            elif name.startswith(count_head):
-                tenant = name[len(count_head):].rstrip('"}')
-                bucket_for(tenant)["histograms"][key]["count"] = value
-    for entry in tenants.values():
-        for data in entry["histograms"].values():
-            data["buckets"].sort()
-    return tenants
-
-
-def sample_from_prometheus(samples: Mapping[str, float],
-                           prefix: str = "repro_server") -> dict:
-    """Build a recorder sample from parsed Prometheus samples.
-
-    The inverse of :meth:`ServerMetrics.to_prometheus` for the subset the
-    recorder consumes — this is how the gateway's merged shard samples
-    (cumulative sums across the fleet) become a fleet-level time series.
-    Tenant-labelled counters and histograms reassemble into the sample's
-    ``"tenants"`` sub-dict, so per-tenant windows work identically whether
-    the source is one server or the merged fleet.
-    """
-    counters = {name: samples.get(f"{prefix}_jobs_{name}_total", 0.0)
-                for name in _RATE_COUNTERS}
-    histograms = {}
-    for metric, key in _HISTOGRAM_NAMES:
-        bucket_prefix = f'{prefix}_{metric}_bucket{{le="'
-        buckets = []
-        for name, value in samples.items():
-            if name.startswith(bucket_prefix):
-                bound = name[len(bucket_prefix):].rstrip('"}')
-                if bound != "+Inf":
-                    buckets.append((float(bound), value))
-        buckets.sort()
-        histograms[key] = {"buckets": buckets,
-                           "sum": samples.get(f"{prefix}_{metric}_sum", 0.0),
-                           "count": samples.get(f"{prefix}_{metric}_count",
-                                                0.0)}
-    gauges = {}
-    head = f"{prefix}_"
-    for name, value in samples.items():
-        if not name.startswith(head) or "{" in name:
-            continue
-        if name.endswith(_NON_GAUGE_SUFFIXES):
-            continue
-        if any(name.startswith(f"{prefix}_{metric}") for metric, _
-               in _HISTOGRAM_NAMES):
-            continue
-        gauges[name[len(head):]] = value
-    return {"counters": counters, "gauges": gauges, "histograms": histograms,
-            "tenants": _tenants_from_prometheus(samples, prefix)}

@@ -14,11 +14,12 @@ concurrently:
   :class:`~repro.service.executor.CompilationService` (so the result cache
   short-circuits warm jobs), with pause/resume, graceful shutdown and
   per-job timeouts,
-* :mod:`repro.server.metrics` — counters and latency histograms exposed in
-  Prometheus text format,
-* :mod:`repro.server.http` — :class:`CompileServer`, a stdlib-only HTTP JSON
-  API (``POST /jobs``, ``GET /jobs/<key>``, ``GET /results/<key>``,
-  ``GET /metrics``, ``GET /healthz``),
+* :mod:`repro.server.metrics` — counters and latency histograms, read as
+  one structured cumulative sample and rendered to Prometheus text,
+* :mod:`repro.server.http` — the HTTP core the server and the cluster
+  gateway share, and :class:`CompileServer`, a stdlib-only HTTP JSON API
+  (``POST /jobs``, ``GET /jobs/<key>``, ``GET /results/<key>``,
+  ``GET /metrics``, ``GET /metrics/sample``, ``GET /healthz``),
 * :mod:`repro.server.client` — :class:`CompileClient`, the ``urllib`` client
   used by the CLI and the end-to-end tests.
 

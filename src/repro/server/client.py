@@ -288,6 +288,12 @@ class CompileClient:
 
         return dict(iter_samples(self.metrics_text()))
 
+    def metrics_sample(self) -> dict:
+        """``GET /metrics/sample`` — the cumulative metrics as one JSON
+        sample (a gateway serves its merged fleet sample)."""
+        _, payload = self._request("GET", "/metrics/sample")
+        return payload  # type: ignore[return-value]
+
     # ------------------------------------------------------------------ #
     def metrics_history(self, seconds: float | None = None) -> dict:
         """``GET /metrics/history`` — rolling windows + sparkline series."""

@@ -1,4 +1,4 @@
-"""Stdlib-only HTTP JSON API in front of the scheduler.
+"""Stdlib-only HTTP JSON API in front of the scheduler, and the HTTP core.
 
 Endpoints (all JSON unless noted):
 
@@ -10,7 +10,8 @@ Endpoints (all JSON unless noted):
   router and is cached under a key that changes with any stage spec.
   Replies ``202`` with ``{key, status, coalesced}`` on admission, ``200`` with
   the outcome when ``wait`` resolved in time, ``429`` when the queue is full,
-  ``400`` on a malformed job and ``503`` once shutdown has begun.
+  ``400`` on a malformed job or ``Content-Length``, ``413`` on an oversized
+  body and ``503`` once shutdown has begun.
 * ``POST /portfolio`` — same contract for a
   :class:`~repro.service.jobs.PortfolioJob` payload (candidates/cost/racing
   specs): the job races its candidates and the outcome is the cost-model
@@ -23,6 +24,9 @@ Endpoints (all JSON unless noted):
   per-pipeline-stage cumulative timings
   (``repro_server_stage_seconds_total{stage=...}``) and process-health
   gauges (uptime, RSS, threads, span-ring occupancy).
+* ``GET /metrics/sample`` — the same cumulative metrics as one structured
+  JSON sample (:meth:`~repro.server.metrics.ServerMetrics.history_sample`);
+  what the cluster gateway merges and the load generator differences.
 * ``GET /metrics/history`` — the monitor's rolling-window views and
   sparkline series (``?seconds=N`` trims the series); ``503`` when the
   monitor is disabled.
@@ -37,6 +41,8 @@ Endpoints (all JSON unless noted):
 * ``GET /traces/<id>`` — every stored span of one trace, by full trace id or
   by job key (full or >= 8-char prefix); ``404`` when evicted/unknown.
 
+Integer query parameters (``limit``, ``seconds``) are clamped at zero.
+
 Tracing: ``POST`` submissions parse the ``X-Repro-Trace`` header (minting a
 fresh trace when absent) and run inside a ``server.request`` span, so queue
 waits, execution and pipeline stages recorded deeper down assemble into one
@@ -44,10 +50,14 @@ tree.  The header is echoed on the response and the trace id is embedded in
 submit replies.  Status polls (``GET``) are deliberately untraced — a 30 s
 blocking wait would otherwise bury the ring under hundreds of poll spans.
 
-The server is a ``ThreadingHTTPServer``: each request gets a thread, so a
-blocking ``wait`` submit does not starve status polls.  :class:`CompileServer`
-bundles queue + scheduler + HTTP into one object with ``start``/``stop`` and
-context-manager support; ``port=0`` binds an ephemeral port (see ``.url``).
+The HTTP core is shared with :class:`~repro.cluster.gateway.ClusterGateway`:
+:class:`JsonHandler` holds the reply/body/query plumbing, the routes both
+servers answer alike and the traced ``POST`` wrapper; :class:`HttpService`
+holds the lifecycle.  The server is a ``ThreadingHTTPServer``: each request
+gets a thread, so a blocking ``wait`` submit does not starve status polls.
+:class:`CompileServer` bundles queue + scheduler + HTTP into one object with
+``start``/``stop`` and context-manager support; ``port=0`` binds an
+ephemeral port (see ``.url``).
 """
 
 from __future__ import annotations
@@ -75,40 +85,56 @@ from repro.service.jobs import CompileJob, PortfolioJob
 MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Longest a single blocking-wait submit may hold its request thread.
 MAX_WAIT_S = 300.0
+#: Submission routes and the job type each one accepts.
+JOB_ROUTES = {"/jobs": CompileJob, "/portfolio": PortfolioJob}
+
+_JSON_TYPE = "application/json; charset=utf-8"
+_PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+_MONITOR_VIEWS = ("/metrics/history", "/slo", "/alerts")
 
 _LOG = get_logger("server.http")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests to the owning :class:`CompileServer` (``server.app``)."""
+class JsonHandler(BaseHTTPRequestHandler):
+    """The request-handler base both servers mount (``server.app`` is the
+    owning :class:`HttpService`).
+
+    Subclasses set ``server_version``, ``span_name`` and ``logger``, and
+    implement ``_handle_get(path)`` for the routes beyond the shared ones
+    and ``_handle_post(path)`` for submissions.
+    """
 
     protocol_version = "HTTP/1.1"
-    server_version = "repro-server"
+    span_name = "server.request"
+    logger = _LOG
+    _trace: TraceContext | None = None
+    _span = None
 
-    # ------------------------------------------------------------------ #
     @property
-    def app(self) -> "CompileServer":
+    def app(self) -> "HttpService":
         return self.server.app  # type: ignore[attr-defined]
 
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature
         # Structured instead of the stdlib's raw stderr lines: 4xx/5xx during
         # an incident are greppable by trace id like everything else.
-        _LOG.debug("http_access", client=self.address_string(),
-                   message=format % args)
+        self.logger.debug("http_access", client=self.address_string(),
+                          message=format % args)
 
-    def _reply(self, status: int, payload: dict | str, *,
-               content_type: str = "application/json") -> None:
-        trace = getattr(self, "_trace", None)
-        entry = getattr(self, "_span", None)
-        if entry is not None:
-            entry.attributes["status"] = status
-        body = (payload if isinstance(payload, str)
-                else json.dumps(payload, sort_keys=True)).encode("utf-8")
+    def _reply(self, status: int, payload: dict | str | bytes, *,
+               content_type: str = _JSON_TYPE,
+               headers: dict[str, str] | None = None) -> None:
+        if self._span is not None:
+            self._span.attributes["status"] = status
+        if isinstance(payload, dict):
+            payload = json.dumps(payload, sort_keys=True)
+        body = payload.encode("utf-8") if isinstance(payload, str) else payload
         self.send_response(status)
-        if trace is not None:
-            self.send_header(TRACE_HEADER, trace.to_header())
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
+        if self._trace is not None:
+            self.send_header(TRACE_HEADER, self._trace.to_header())
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         if status == 429:
             self.send_header("Retry-After", "1")
         if self.close_connection:
@@ -120,7 +146,14 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(status, {"error": message})
 
     def _read_json(self) -> dict | None:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            # Where the body ends is unknown, so the keep-alive stream cannot
+            # be resynced: answer, then drop the connection.
+            self.close_connection = True
+            self._error(400, "invalid Content-Length header")
+            return None
         if length <= 0:
             self._error(400, "request body required")
             return None
@@ -141,76 +174,241 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return payload
 
-    # ------------------------------------------------------------------ #
-    def do_GET(self) -> None:  # noqa: N802 — stdlib naming
-        # Handler instances live per *connection*: clear request-scoped trace
-        # state so a keep-alive GET never reuses the previous POST's trace.
-        self._trace = None
-        self._span = None
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        if path == "/healthz":
-            self._reply(200, self.app.health())
-        elif path == "/metrics":
-            self._reply(200, self.app.metrics.to_prometheus(),
-                        content_type="text/plain; version=0.0.4")
-        elif path == "/metrics/history":
-            self._get_monitor("history")
-        elif path == "/slo":
-            self._get_monitor("slo")
-        elif path == "/alerts":
-            self._get_monitor("alerts")
-        elif path == "/traces":
-            self._get_traces()
-        elif path.startswith("/traces/"):
-            self._get_trace(path[len("/traces/"):])
-        elif path.startswith("/jobs/"):
-            self._get_job(path[len("/jobs/"):])
-        elif path.startswith("/results/"):
-            self._get_result(path[len("/results/"):])
-        else:
-            self._error(404, f"unknown path {path!r}")
+    def _read_submission(self, path: str) -> tuple | None:
+        """``(job, payload, timeout)`` of a submit, or ``None`` once an error
+        reply (404 unknown route, 400/413 unusable body) has been sent.
+
+        ``timeout`` is the blocking-wait bound, clamped at ``MAX_WAIT_S``.
+        """
+        job_cls = JOB_ROUTES.get(path)
+        if job_cls is None:
+            self._error(404, f"unknown path {self.path!r}")
+            return None
+        payload = self._read_json()
+        if payload is None:
+            return None
+        try:
+            job = job_cls.from_dict(payload.get("job", payload))
+            timeout = min(float(payload.get("timeout", 30.0)), MAX_WAIT_S)
+        except (KeyError, TypeError, ValueError) as exc:
+            self._error(400, f"bad job payload: {exc}")
+            return None
+        return job, payload, timeout
 
     def _query_int(self, name: str, default: int) -> int:
+        """Query parameter ``name`` clamped at zero (``default`` if absent
+        or not an integer)."""
         for item in urlsplit(self.path).query.split("&"):
             key, sep, value = item.partition("=")
             if sep and key == name:
                 try:
-                    return int(value)
+                    return max(0, int(value))
                 except ValueError:
                     return default
         return default
 
-    def _get_monitor(self, view: str) -> None:
+    # ------------------------------------------------------------------ #
+    def _begin(self) -> str:
+        """Start one request; returns its path without query string.
+
+        Handler instances live per *connection*: request-scoped trace state
+        is cleared so a keep-alive GET never reuses the previous POST's.
+        """
+        self._trace = None
+        self._span = None
+        return self.path.split("?", 1)[0].rstrip("/") or "/"
+
+    def do_GET(self) -> None:  # noqa: N802 — stdlib naming
+        path = self._begin()
+        if path == "/healthz":
+            self._reply(200, self.app.health())
+        elif path == "/metrics":
+            self._reply(200, self.app.metrics_text(),
+                        content_type=_PROMETHEUS_TYPE)
+        elif path == "/metrics/sample":
+            self._reply(200, self.app.metrics_sample())
+        elif path in _MONITOR_VIEWS:
+            self._get_monitor(path)
+        elif path == "/traces":
+            self._reply(200, self.app.trace_summaries(
+                self._query_int("limit", 50)))
+        elif path.startswith("/traces/"):
+            ident = path[len("/traces/"):]
+            found = self.app.fetch_trace(ident)
+            if found is None:
+                self._error(404, f"no trace for {ident!r}")
+            else:
+                self._reply(200, found)
+        else:
+            self._handle_get(path)
+
+    def _get_monitor(self, path: str) -> None:
         monitor = self.app.monitor
-        if monitor is None or not monitor.enabled:
-            self._error(503, "monitoring is disabled on this server")
-            return
-        if view == "history":
+        if not monitor.enabled:
+            self._error(503, f"monitoring is disabled on this {self.app.role}")
+        elif path == "/metrics/history":
             seconds = self._query_int("seconds", 0)
             self._reply(200, monitor.history_payload(
-                float(seconds) if seconds > 0 else None))
-        elif view == "slo":
+                float(seconds) if seconds else None))
+        elif path == "/slo":
             self._reply(200, monitor.slo_payload())
         else:
-            self._reply(200, monitor.alerts_payload(
+            self._reply(200, self.app.alerts_payload(
                 self._query_int("limit", 100)))
 
-    def _get_traces(self) -> None:
-        store = get_store()
-        self._reply(200, {"traces": store.summaries(
-            self._query_int("limit", 50)), "store": store.stats()})
+    def _handle_get(self, path: str) -> None:
+        self._error(404, f"unknown path {path!r}")
 
-    def _get_trace(self, ident: str) -> None:
+    def do_POST(self) -> None:  # noqa: N802 — stdlib naming
+        path = self._begin()
+        # Continue the caller's trace (X-Repro-Trace) or start a fresh one:
+        # every submission is traced, and everything recorded downstream for
+        # this request nests under its request span.
+        context = (TraceContext.from_header(self.headers.get(TRACE_HEADER))
+                   or TraceContext.new())
+        self._trace = context
+        started = time.monotonic()
+        with activate(context):
+            with span(self.span_name, method="POST", path=path) as entry:
+                self._span = entry
+                self._handle_post(path)
+            elapsed = time.monotonic() - started
+            slow_after = self.app.slow_request_s
+            if slow_after is not None and elapsed >= slow_after:
+                self.logger.warning("slow_request", method="POST", path=path,
+                                    elapsed_s=round(elapsed, 6),
+                                    threshold_s=slow_after)
+
+    def _handle_post(self, path: str) -> None:
+        raise NotImplementedError
+
+
+class HttpService:
+    """The lifecycle base both servers share: bind, a background HTTP
+    thread, ``start``/``stop``, ``serve_forever`` and context management.
+
+    Subclasses call :meth:`_bind` from ``__init__``, create ``self.monitor``
+    and implement ``health``, ``metrics_text``, ``metrics_sample``,
+    ``_start_workers`` and ``stop`` (which calls :meth:`_stop_http`).  The
+    trace and alert views default to this process's own span store and
+    monitor.
+    """
+
+    #: Names the service in error replies, log lines and its HTTP thread.
+    role = "server"
+    #: POSTs slower than this log a ``slow_request`` warning (None = off).
+    slow_request_s: float | None = None
+    monitor: Monitor
+
+    def _bind(self, host: str, port: int,
+              handler: type[JsonHandler]) -> None:
+        # The stdlib default listen backlog (request_queue_size=5) drops —
+        # and on Linux resets — connections under a client-herd burst, which
+        # an upstream gateway would misread as a dead shard and fail over.
+        self._httpd = ThreadingHTTPServer((host, port), handler,
+                                          bind_and_activate=False)
+        self._httpd.request_queue_size = 128
+        self._httpd.server_bind()
+        self._httpd.server_activate()
+        self._httpd.daemon_threads = True
+        self._httpd.app = self  # type: ignore[attr-defined]
+        self._http_thread: threading.Thread | None = None
+        self._started_at: float | None = None
+
+    @property
+    def address(self) -> tuple[str, int]:
+        host, port = self._httpd.server_address[:2]
+        return str(host), int(port)
+
+    @property
+    def url(self) -> str:
+        host, port = self.address
+        return f"http://{host}:{port}"
+
+    def _uptime(self) -> float:
+        return (time.monotonic() - self._started_at
+                if self._started_at is not None else 0.0)
+
+    # ------------------------------------------------------------------ #
+    def trace_summaries(self, limit: int = 50) -> dict:
+        """The ``GET /traces`` body: newest-first digests plus ring stats."""
+        store = get_store()
+        return {"traces": store.summaries(limit), "store": store.stats()}
+
+    def fetch_trace(self, ident: str) -> dict | None:
+        """Every stored span of one trace, by trace id or job key (prefix)."""
         store = get_store()
         trace_id, spans = ident, store.trace(ident)
         if not spans:
             resolved = store.find_trace(ident)  # job key / >=8-char prefix
             if resolved is not None:
                 trace_id, spans = resolved, store.trace(resolved)
-        if spans:
-            self._reply(200, {"trace_id": trace_id, "spans": spans})
+        return {"trace_id": trace_id, "spans": spans} if spans else None
+
+    def alerts_payload(self, limit: int | None = None) -> dict:
+        """The ``GET /alerts`` body."""
+        return self.monitor.alerts_payload(limit)
+
+    # ------------------------------------------------------------------ #
+    def _start_workers(self) -> None:
+        raise NotImplementedError
+
+    def start(self):
+        if self._http_thread is not None:
+            raise RuntimeError(f"{self.role} is already running")
+        self._start_workers()
+        self._http_thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05},
+            daemon=True, name=f"repro-{self.role}-http")
+        self._http_thread.start()
+        self._started_at = time.monotonic()
+        self.monitor.start()
+        return self
+
+    def _stop_http(self, timeout: float) -> None:
+        """Stop the monitor and the HTTP thread; no request is accepted
+        afterwards."""
+        self.monitor.stop()
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        if self._http_thread is not None:
+            self._http_thread.join(timeout)
+            self._http_thread = None
+
+    def stop(self) -> None:
+        raise NotImplementedError
+
+    def serve_forever(self) -> None:
+        """Foreground mode for the CLI: block until interrupted."""
+        if self._http_thread is None:
+            self.start()
+        try:
+            while True:
+                time.sleep(0.5)
+        except KeyboardInterrupt:
+            pass
+        finally:
+            self.stop()
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *_exc) -> None:
+        self.stop()
+
+
+class _Handler(JsonHandler):
+    """Routes requests to the owning :class:`CompileServer`."""
+
+    server_version = "repro-server"
+
+    def _handle_get(self, path: str) -> None:
+        if path.startswith("/jobs/"):
+            self._get_job(path[len("/jobs/"):])
+        elif path.startswith("/results/"):
+            self._get_result(path[len("/results/"):])
         else:
-            self._error(404, f"no trace for {ident!r}")
+            super()._handle_get(path)
 
     def _get_job(self, key: str) -> None:
         ticket = self.app.scheduler.lookup(key)
@@ -230,39 +428,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"no result for job {key!r}")
 
     # ------------------------------------------------------------------ #
-    def do_POST(self) -> None:  # noqa: N802 — stdlib naming
-        path = self.path.split("?", 1)[0].rstrip("/")
-        # Continue the caller's trace (X-Repro-Trace) or start a fresh one:
-        # every submission is traced, and everything the scheduler records
-        # for this job nests under this request span.
-        context = (TraceContext.from_header(self.headers.get(TRACE_HEADER))
-                   or TraceContext.new())
-        self._trace = context
-        self._span = None
-        started = time.monotonic()
-        with activate(context):
-            with span("server.request", method="POST", path=path) as entry:
-                self._span = entry
-                self._handle_post(path)
-            elapsed = time.monotonic() - started
-            slow_after = self.app.slow_request_s
-            if slow_after is not None and elapsed >= slow_after:
-                _LOG.warning("slow_request", method="POST", path=path,
-                             elapsed_s=round(elapsed, 6),
-                             threshold_s=slow_after)
-
     def _handle_post(self, path: str) -> None:
-        if path == "/jobs":
-            job_cls = CompileJob
-        elif path == "/portfolio":
-            job_cls = PortfolioJob
-        else:
-            self._error(404, f"unknown path {self.path!r}")
+        submission = self._read_submission(path)
+        if submission is None:
             return
-        payload = self._read_json()
-        if payload is None:
-            return
-        job_data = payload.get("job", payload)
+        job, payload, timeout = submission
         # The tenant rides on a header (not the job payload) so it can never
         # perturb the content-addressed job key — identical jobs from
         # different tenants still coalesce onto one computation.
@@ -270,19 +440,17 @@ class _Handler(BaseHTTPRequestHandler):
         if self._span is not None:
             self._span.attributes["tenant"] = tenant
         try:
-            job = job_cls.from_dict(job_data)
             priority = int(payload.get("priority", 0))
-            wait = bool(payload.get("wait", False))
-            timeout = min(float(payload.get("timeout", 30.0)), MAX_WAIT_S)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             self._error(400, f"bad job payload: {exc}")
             return
+        wait = bool(payload.get("wait", False))
         try:
             ticket, coalesced = self.app.scheduler.submit(job, priority,
                                                           tenant)
         except TenantQuotaError as exc:
-            _LOG.warning("tenant_throttled", tenant=exc.tenant,
-                         quota=exc.quota, path=path)
+            self.logger.warning("tenant_throttled", tenant=exc.tenant,
+                                quota=exc.quota, path=path)
             self._reply(429, {"error": str(exc), "tenant": exc.tenant})
             return
         except QueueFullError as exc:
@@ -315,7 +483,7 @@ class _Handler(BaseHTTPRequestHandler):
                           "queue_depth": self.app.queue.depth})
 
 
-class CompileServer:
+class CompileServer(HttpService):
     """Queue + scheduler + HTTP API bundled into one online server.
 
     Parameters
@@ -357,7 +525,6 @@ class CompileServer:
                  max_depth: int | None = 256,
                  job_timeout: float | None = None,
                  default_cache_entries: int = 1024,
-                 verbose: bool = False,
                  slow_request_s: float | None = 5.0,
                  profile_slow_s: float | None = None,
                  trace_max_spans: int | None = None,
@@ -365,7 +532,6 @@ class CompileServer:
                  tenant_weights: dict[str, float] | None = None,
                  tenant_quotas: dict[str, int] | None = None,
                  default_tenant_quota: int | None = None):
-        self.verbose = verbose
         self.slow_request_s = slow_request_s
         if trace_max_spans is not None:
             configure_store(trace_max_spans)
@@ -395,40 +561,23 @@ class CompileServer:
         self.monitor = Monitor(self.metrics.history_sample, monitor,
                                exemplar_source=self._slo_exemplar,
                                name="server")
-        # The stdlib default listen backlog (request_queue_size=5) drops —
-        # and on Linux resets — connections under a client-herd burst, which
-        # an upstream gateway would misread as a dead shard and fail over.
-        self._httpd = ThreadingHTTPServer((host, port), _Handler,
-                                          bind_and_activate=False)
-        self._httpd.request_queue_size = 128
-        self._httpd.server_bind()
-        self._httpd.server_activate()
-        self._httpd.daemon_threads = True
-        self._httpd.app = self  # type: ignore[attr-defined]
-        self._http_thread: threading.Thread | None = None
-        self._started_at: float | None = None
+        self._bind(host, port, _Handler)
 
     # ------------------------------------------------------------------ #
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def _uptime(self) -> float:
-        return (time.monotonic() - self._started_at
-                if self._started_at is not None else 0.0)
-
     def _slo_exemplar(self, spec) -> str | None:
         """Offending trace id for a firing latency SLO (monitor callback)."""
         if spec.kind != "latency":
             return None
         return self.metrics.exemplar_for(spec.metric, spec.threshold_s,
                                          tenant=getattr(spec, "tenant", None))
+
+    def metrics_text(self) -> str:
+        """The ``GET /metrics`` body (Prometheus text exposition)."""
+        return self.metrics.to_prometheus()
+
+    def metrics_sample(self) -> dict:
+        """The ``GET /metrics/sample`` body: the monitor's own source sample."""
+        return self.metrics.history_sample()
 
     def health(self) -> dict:
         store = get_store()
@@ -452,42 +601,10 @@ class CompileServer:
         }
 
     # ------------------------------------------------------------------ #
-    def start(self) -> "CompileServer":
-        if self._http_thread is not None:
-            raise RuntimeError("server is already running")
+    def _start_workers(self) -> None:
         self.scheduler.start()
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05},
-            daemon=True, name="repro-server-http")
-        self._http_thread.start()
-        self._started_at = time.monotonic()
-        self.monitor.start()
-        return self
 
     def stop(self, graceful: bool = True, timeout: float = 30.0) -> None:
         """Stop accepting requests, then wind the scheduler down."""
-        self.monitor.stop()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._http_thread is not None:
-            self._http_thread.join(timeout)
-            self._http_thread = None
+        self._stop_http(timeout)
         self.scheduler.stop(graceful=graceful, timeout=timeout)
-
-    def serve_forever(self) -> None:
-        """Foreground mode for the CLI: block until interrupted."""
-        if self._http_thread is None:
-            self.start()
-        try:
-            while True:
-                time.sleep(0.5)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
-    def __enter__(self) -> "CompileServer":
-        return self.start()
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()

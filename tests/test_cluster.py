@@ -16,8 +16,8 @@ import pytest
 
 from repro.cluster import (ClusterGateway, HealthMonitor, LocalShardFleet,
                            ShardMember, ShardRing)
-from repro.cluster.gateway import iter_samples
 from repro.server import CompileClient, CompileServer, ServerError
+from repro.server.metrics import iter_samples
 from repro.service import make_job
 from repro.service.jobs import PortfolioJob
 from repro.workloads.generators import ghz

@@ -19,8 +19,8 @@ from repro.obs.logging import STDERR
 from repro.obs.monitor import (DEFAULT_SLOS, Monitor, MonitorConfig,
                                default_rules)
 from repro.obs.slo import SLOSpec, evaluate_slo, evaluate_window
-from repro.obs.timeseries import (MetricsRecorder, percentile_from_cumulative,
-                                  sample_from_prometheus, window_label)
+from repro.obs.timeseries import (MetricsRecorder, MetricsSnapshot,
+                                  percentile_from_cumulative, window_label)
 from repro.server import CompileClient, CompileServer
 from repro.server.client import ServerError
 from repro.server.metrics import ServerMetrics
@@ -206,22 +206,30 @@ class TestMetricsRecorder:
         assert set(views) == {"10s", "30s"}
 
 
-class TestSampleFromPrometheus:
-    def test_round_trip_from_server_metrics(self):
+class TestMetricsSample:
+    def test_json_sample_carries_what_prometheus_renders(self):
+        # The wire path: a shard serves history_sample() as JSON, and both
+        # the recorder and the /metrics renderer consume the decoded copy.
+        from repro.server.metrics import iter_samples, render_prometheus
         metrics = ServerMetrics()
-        metrics.observe_job(0.01, 0.5, ok=True, cache_hit=False)
-        metrics.observe_job(0.02, 3.0, ok=False, cache_hit=False)
-        from repro.server.metrics import iter_samples
-        samples = dict(iter_samples(metrics.to_prometheus()))
-        sample = sample_from_prometheus(samples)
+        metrics.observe_job(0.01, 0.5, ok=True, cache_hit=False,
+                            tenant="alice")
+        metrics.observe_job(0.02, 3.0, ok=False, cache_hit=False,
+                            tenant="bob")
+        metrics.observe_stages([{"stage": "route", "elapsed_s": 0.25}])
         direct = metrics.history_sample()
-        assert sample["counters"]["completed"] == 2
-        assert sample["counters"]["failed"] == 1
-        assert (sample["histograms"]["service_seconds"]["count"]
+        wire = json.loads(json.dumps(direct))
+        assert (dict(iter_samples(render_prometheus(wire)))
+                == dict(iter_samples(metrics.to_prometheus())))
+        sample = MetricsSnapshot.capture(0.0, wire)
+        assert sample.counters["completed"] == 2
+        assert sample.counters["failed"] == 1
+        assert (sample.histograms["service_seconds"]["count"]
                 == direct["histograms"]["service_seconds"]["count"])
-        assert (sample["histograms"]["service_seconds"]["buckets"]
+        assert (sample.histograms["service_seconds"]["buckets"]
                 == [(bound, float(cum)) for bound, cum
                     in direct["histograms"]["service_seconds"]["buckets"]])
+        assert sample.tenants["bob"]["counters"]["failed"] == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -604,7 +612,7 @@ class TestGatewayEndpoints:
             shard.monitor.tick()
             with ClusterGateway([shard.url], health_interval=30.0,
                                 monitor=_monitor_off()) as gateway:
-                merged = gateway.merged_alerts(limit=20)
+                merged = gateway.alerts_payload(limit=20)
                 shard_events = [event for event in merged["events"]
                                 if event.get("shard")]
                 assert shard_events, merged["events"]

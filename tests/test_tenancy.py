@@ -249,17 +249,15 @@ class TestTenantHTTP:
 # Gateway: header forwarding + label-aware monotone merge
 # --------------------------------------------------------------------------- #
 class _StubShardHandler(BaseHTTPRequestHandler):
-    """A fake shard whose ``/metrics`` text the test rewrites at will."""
+    """A fake shard whose ``/metrics/sample`` the test rewrites at will."""
 
     def do_GET(self):  # noqa: N802 — stdlib naming
-        if self.path == "/metrics":
-            body = self.server.metrics_text.encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
+        if self.path == "/metrics/sample":
+            body = json.dumps(self.server.sample).encode()
         else:
             body = b'{"status": "ok"}'
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -271,20 +269,33 @@ class _StubShardHandler(BaseHTTPRequestHandler):
 class _StubShard:
     def __init__(self):
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubShardHandler)
-        self._httpd.metrics_text = ""
+        self._httpd.sample = {}
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         daemon=True)
         self._thread.start()
         host, port = self._httpd.server_address[:2]
         self.url = f"http://{host}:{port}"
 
-    def set_metrics(self, text: str) -> None:
-        self._httpd.metrics_text = text
+    def set_sample(self, completed: int, alice: int, depth: int) -> None:
+        """A shard sample: fleet and tenant counters, one histogram, a gauge."""
+        self._httpd.sample = {
+            "counters": {"completed": completed},
+            "gauges": {"queue_depth": depth},
+            "histograms": {"service_seconds": {
+                "buckets": [[0.1, completed], [1.0, completed]],
+                "sum": completed * 0.05, "count": completed}},
+            "tenants": {"alice": {"counters": {"completed": alice},
+                                  "histograms": {}}},
+        }
 
     def stop(self) -> None:
         self._httpd.shutdown()
         self._httpd.server_close()
         self._thread.join(5.0)
+
+
+def _alice_completed(sample: dict) -> float:
+    return sample["tenants"]["alice"]["counters"]["completed"]
 
 
 class TestGatewayTenantMerge:
@@ -293,41 +304,32 @@ class TestGatewayTenantMerge:
         try:
             with ClusterGateway([shard.url], health_interval=30.0,
                                 monitor=False) as gateway:
-                shard.set_metrics(
-                    "repro_server_jobs_completed_total 100\n"
-                    'repro_server_tenant_jobs_completed_total{tenant="alice"} 60\n'
-                    "repro_server_queue_depth 5\n")
-                merged, _, _ = gateway._scrape_merged()
-                assert merged["repro_server_jobs_completed_total"] == 100.0
+                shard.set_sample(completed=100, alice=60, depth=5)
+                merged, _, _ = gateway.merged_sample()
+                assert merged["counters"]["completed"] == 100
                 # The shard "restarts": counters reset far below their last
                 # raw reading.  The merge banks the lost progress.
-                shard.set_metrics(
-                    "repro_server_jobs_completed_total 5\n"
-                    'repro_server_tenant_jobs_completed_total{tenant="alice"} 2\n'
-                    "repro_server_queue_depth 1\n")
-                merged, _, _ = gateway._scrape_merged()
-                assert merged["repro_server_jobs_completed_total"] == 105.0
-                assert merged[
-                    'repro_server_tenant_jobs_completed_total{tenant="alice"}'
-                ] == 62.0
+                shard.set_sample(completed=5, alice=2, depth=1)
+                merged, _, _ = gateway.merged_sample()
+                assert merged["counters"]["completed"] == 105
+                assert _alice_completed(merged) == 62
+                # Histogram buckets are monotone leaves too.
+                service = merged["histograms"]["service_seconds"]
+                assert service["count"] == 105
+                assert service["buckets"] == [(0.1, 105), (1.0, 105)]
                 # Gauges are NOT offset — a restarted shard's depth really
                 # is small again.
-                assert merged["repro_server_queue_depth"] == 1.0
+                assert merged["gauges"]["queue_depth"] == 1
                 # Post-restart progress keeps counting from the new base.
-                shard.set_metrics(
-                    "repro_server_jobs_completed_total 7\n"
-                    'repro_server_tenant_jobs_completed_total{tenant="alice"} 3\n'
-                    "repro_server_queue_depth 0\n")
-                merged, _, _ = gateway._scrape_merged()
-                assert merged["repro_server_jobs_completed_total"] == 107.0
-                assert merged[
-                    'repro_server_tenant_jobs_completed_total{tenant="alice"}'
-                ] == 63.0
-                # A dead shard keeps contributing its last-known samples.
+                shard.set_sample(completed=7, alice=3, depth=0)
+                merged, _, _ = gateway.merged_sample()
+                assert merged["counters"]["completed"] == 107
+                assert _alice_completed(merged) == 63
+                # A dead shard keeps contributing its last-known sample.
                 shard.stop()
-                merged, polled, contributing = gateway._scrape_merged()
+                merged, polled, contributing = gateway.merged_sample()
                 assert polled == 0 and contributing == 1
-                assert merged["repro_server_jobs_completed_total"] == 107.0
+                assert merged["counters"]["completed"] == 107
         finally:
             shard.stop()
 
@@ -339,18 +341,17 @@ class TestGatewayTenantMerge:
                 assert client.compile(_job(seed=seed)).ok
             with ClusterGateway([shard.url], health_interval=30.0,
                                 monitor=False) as gateway:
-                merged, _, _ = gateway._scrape_merged()
-                key = 'repro_server_tenant_jobs_completed_total{tenant="alice"}'
-                assert merged[key] == 3.0
+                merged, _, _ = gateway.merged_sample()
+                assert _alice_completed(merged) == 3
                 shard.stop()
                 # Same port, fresh process state: counters restart from zero.
                 with CompileServer(port=port, workers=1,
                                    monitor=False) as reborn:
                     reborn_client = CompileClient(reborn.url, tenant="alice")
                     assert reborn_client.compile(_job(seed=99)).ok
-                    merged, _, _ = gateway._scrape_merged()
-                    assert merged[key] == 4.0  # 3 banked + 1 fresh
-                    assert merged["repro_server_jobs_completed_total"] >= 4.0
+                    merged, _, _ = gateway.merged_sample()
+                    assert _alice_completed(merged) == 4  # 3 banked + 1 fresh
+                    assert merged["counters"]["completed"] >= 4
 
     def test_gateway_forwards_tenant_and_labels_cluster_metrics(self):
         with CompileServer(port=0, workers=1, monitor=False) as shard:
@@ -362,7 +363,7 @@ class TestGatewayTenantMerge:
                 assert shard.metrics.snapshot()["tenants"]["alice"][
                     "completed"] == 1
                 # ...and both layers expose the tenant dimension.
-                text = gateway.aggregated_metrics()
+                text = gateway.metrics_text()
                 assert ('repro_cluster_tenant_jobs_completed_total'
                         '{tenant="alice"} 1') in text
                 assert ('repro_cluster_gateway_tenant_requests_total'
