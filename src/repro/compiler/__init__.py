@@ -17,8 +17,8 @@ context-aware flow:
   registry and the content-addressed pipeline key that the service cache and
   the portfolio layer build on,
 * :mod:`repro.compiler.backends` — the pluggable router-backend registry
-  (scalar ``"python"`` reference kernels and the vectorized ``"numpy"``
-  fast path, selectable per job/candidate/stage),
+  (the vectorized ``"numpy"`` production default and the scalar
+  ``"python"`` reference oracle, selectable per job/candidate/stage),
 * :mod:`repro.compiler.parse_cache` — the process-wide content-addressed
   parsed-circuit cache in front of the parse stage.
 """

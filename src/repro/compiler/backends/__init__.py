@@ -9,8 +9,10 @@ byte-stable.
 
 Built-ins:
 
-* ``python`` — the original scalar loops (default; the ground truth),
-* ``numpy``  — vectorized gathers over the cached DeviceAnalysis matrices.
+* ``numpy``  — vectorized gathers over the cached DeviceAnalysis matrices
+  (the production default),
+* ``python`` — the original scalar loops, kept verbatim as the reference
+  oracle the differential suite holds every other backend to.
 
 The registry follows the idiom of accelerated-implementation registries in
 simulator codebases (a uniform interface with optional fast backends): a
@@ -28,7 +30,7 @@ from repro.compiler.backends.numpy import NumpyBackend
 from repro.compiler.backends.python import PythonBackend
 
 #: The backend used when a job/stage/candidate does not name one.
-DEFAULT_BACKEND = "python"
+DEFAULT_BACKEND = "numpy"
 
 _lock = threading.Lock()
 _factories: dict[str, Callable[[], RouterBackend]] = {}  #: guarded by _lock
@@ -88,6 +90,6 @@ def list_backends() -> dict[str, str]:
 
 
 register_backend("python", PythonBackend,
-                 "scalar reference loops (default; the pre-backend code)")
+                 "scalar reference loops (the differential oracle)")
 register_backend("numpy", NumpyBackend,
                  "vectorized swap scoring over cached DeviceAnalysis arrays")

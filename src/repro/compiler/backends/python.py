@@ -3,8 +3,9 @@
 This backend *is* today's code — it delegates to the exact functions the
 routers called before the backend seam existed (``swap_priority``,
 ``sabre_score``, ``coupling.shortest_path``), so selecting it changes
-nothing, byte for byte.  It is the default and the ground truth the
-differential suite measures every accelerated backend against.
+nothing, byte for byte.  It is not the default (``numpy`` is the production
+kernel); it is the ground truth the differential suite measures every
+accelerated backend against.
 """
 
 from __future__ import annotations

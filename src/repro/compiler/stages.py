@@ -247,6 +247,7 @@ class RouteStage(Pass):
         return self._router
 
     def run(self, context: PipelineContext) -> dict:
+        from repro.compiler.backends import DEFAULT_BACKEND
         from repro.mapping.base import RoutingResult
         from repro.sim.scheduler import asap_schedule
 
@@ -255,7 +256,7 @@ class RouteStage(Pass):
         router = self._live_router()
         if self.backend is not None:
             router.backend = self.backend
-        effective_backend = getattr(router, "backend", None) or "python"
+        effective_backend = getattr(router, "backend", None) or DEFAULT_BACKEND
         if circuit.num_qubits > device.num_qubits:
             raise ValueError(
                 f"circuit {circuit.name!r} needs {circuit.num_qubits} qubits "

@@ -11,11 +11,17 @@ commutation against earlier gates that share at least one qubit.  Pairwise
 commutation is decided by fast symbolic rules (diagonal-vs-diagonal, shared
 CX control, shared CX target, X-rotation on a CX target, ...) with an exact
 unitary check as fallback for rare unclassified pairs.
+
+:func:`commutative_front` computes the CF set of a sequence from scratch; it
+is the reference definition.  A router that launches gates one by one uses
+:class:`IncrementalFront` instead, which keeps the same set up to date as
+gates leave the sequence and asks each gate pair at most once, in the way
+SABRE maintains its front layer over the gate DAG (Li, Ding, Xie, ASPLOS'19).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.core.gates import Gate
 from repro.core.unitary import expand_to, gate_unitary, matrices_commute
@@ -152,19 +158,13 @@ class CommutativityChecker:
     """Memoising commutation oracle.
 
     Routing a 30k-gate benchmark asks the same (gate-kind, relative-overlap)
-    questions over and over; caching on a structural key keeps the CF-front
-    computation cheap.
+    questions over and over; caching on a structural key answers each such
+    question with one rule evaluation (or one unitary comparison).
     """
 
     def __init__(self, exact_fallback: bool = True):
         self._exact_fallback = exact_fallback
         self._cache: dict[tuple, bool] = {}
-        # Identity-level memo in front of the structural cache: routing asks
-        # about the same live Gate objects thousands of times, and building
-        # the structural key dominates the (always-hitting) lookup.  Entries
-        # keep references to both gates so an id() can never be recycled
-        # while its key is present.
-        self._pair_cache: dict[tuple[int, int], tuple[Gate, Gate, bool]] = {}
 
     def _key(self, a: Gate, b: Gate) -> tuple:
         # Canonicalise the qubit overlap pattern so distinct qubit indices with
@@ -179,21 +179,14 @@ class CommutativityChecker:
         )
 
     def commute(self, a: Gate, b: Gate) -> bool:
-        pair = (id(a), id(b))
-        hit = self._pair_cache.get(pair)
-        if hit is not None:
-            return hit[2]
         if not _shares_qubits(a, b) and not (a.is_barrier or b.is_barrier):
-            verdict = True
-        else:
-            key = self._key(a, b)
-            cached = self._cache.get(key)
-            if cached is None:
-                cached = gates_commute(a, b, exact_fallback=self._exact_fallback)
-                self._cache[key] = cached
-            verdict = cached
-        self._pair_cache[pair] = (a, b, verdict)
-        return verdict
+            return True
+        key = self._key(a, b)
+        cached = self._cache.get(key)
+        if cached is None:
+            cached = gates_commute(a, b, exact_fallback=self._exact_fallback)
+            self._cache[key] = cached
+        return cached
 
 
 def commutative_front(gates: Sequence[Gate],
@@ -276,3 +269,111 @@ def dependency_front(gates: Sequence[Gate]) -> list[int]:
         if len(blocked) >= 10_000:  # pragma: no cover - defensive bound
             break
     return front
+
+
+class IncrementalFront:
+    """The front of a gate sequence, kept up to date as front gates launch.
+
+    The structure holds a *window*: the first ``scan_limit`` remaining gates
+    of ``gates``, in program order.  For each window gate it counts the
+    earlier window gates that *block* it, i.e. share a qubit with it and do
+    not commute with it.  Launching a gate decrements the counts of the gates
+    it blocked; a gate entering the window is checked once against the gates
+    already in it.  :meth:`front` is the first ``max_front`` window gates
+    whose count is zero.
+
+    With a ``checker`` this is the Commutative-Front set: at every step
+    :meth:`front` equals ``commutative_front(remaining, checker, max_front,
+    scan_limit)`` with its indices mapped to positions in ``gates``.
+    Without one every earlier gate on a shared qubit blocks, which is the
+    plain dependency front of the window (``dependency_front(
+    remaining[:scan_limit])`` for a barrier-free sequence and no
+    ``max_front``).
+
+    All bookkeeping is keyed by position in ``gates``, never by gate
+    identity: :class:`Gate` is a frozen value, so one object may occur at
+    several positions of a circuit.  Only front gates may be launched.
+    """
+
+    def __init__(self, gates: Sequence[Gate],
+                 checker: CommutativityChecker | None = None,
+                 max_front: int | None = None,
+                 scan_limit: int | None = None):
+        self._gates = gates
+        self._checker = checker
+        self._max_front = len(gates) if max_front is None else max_front
+        # The head gate is always in the front (``commutative_front`` falls
+        # back to it when nothing is scanned), so the window holds at least it.
+        self._capacity = max(1, len(gates) if scan_limit is None else scan_limit)
+        #: First position not yet admitted to the window.
+        self._next = 0
+        #: Window position -> number of remaining earlier gates blocking it,
+        #: in program order.
+        self._window: dict[int, int] = {}
+        #: Window position -> later window positions it blocks.
+        self._blocks: dict[int, list[int]] = {}
+        #: Qubit -> window positions acting on it.
+        self._on_qubit: dict[int, list[int]] = {}
+        #: Window positions of global (operand-less) barriers.
+        self._barriers: list[int] = []
+        self._front: list[int] | None = None
+        self._fill()
+
+    def __len__(self) -> int:
+        """Number of gates not launched yet."""
+        return len(self._window) + len(self._gates) - self._next
+
+    def front(self) -> list[int]:
+        """Positions of the front gates, in program order."""
+        if self._front is None:
+            front: list[int] = []
+            for position, blockers in self._window.items():
+                if blockers == 0:
+                    front.append(position)
+                    if len(front) >= self._max_front:
+                        break
+            self._front = front
+        return self._front
+
+    def remaining(self) -> Iterator[int]:
+        """Positions of the gates not launched yet, in program order."""
+        yield from self._window
+        yield from range(self._next, len(self._gates))
+
+    def launch(self, position: int) -> None:
+        """Remove the front gate at ``position`` from the sequence."""
+        del self._window[position]
+        for later in self._blocks.pop(position):
+            self._window[later] -= 1
+        gate = self._gates[position]
+        for qubit in gate.qubits:
+            self._on_qubit[qubit].remove(position)
+        if gate.is_barrier and not gate.qubits:
+            self._barriers.remove(position)
+        self._front = None
+        self._fill()
+
+    def _fill(self) -> None:
+        while len(self._window) < self._capacity and self._next < len(self._gates):
+            self._admit(self._next)
+            self._next += 1
+
+    def _admit(self, position: int) -> None:
+        gate = self._gates[position]
+        if gate.is_barrier and not gate.qubits:
+            # A global barrier waits for, and holds back, every other gate.
+            blockers = list(self._window)
+            self._barriers.append(position)
+        else:
+            blockers = list(self._barriers)
+            earlier = {p for q in gate.qubits for p in self._on_qubit.get(q, ())}
+            checker = self._checker
+            for p in earlier:
+                if checker is None or not checker.commute(self._gates[p], gate):
+                    blockers.append(p)
+        for p in blockers:
+            self._blocks[p].append(position)
+        self._window[position] = len(blockers)
+        self._blocks[position] = []
+        for qubit in gate.qubits:
+            self._on_qubit.setdefault(qubit, []).append(position)

@@ -19,6 +19,7 @@ circuit depth of the circuits produced by CODAR and SABRE").
 from __future__ import annotations
 
 import abc
+import threading
 from dataclasses import dataclass, field
 
 from repro.arch.devices import Device
@@ -138,8 +139,11 @@ class RoutingResult:
 #: Memo for reverse-traversal initial layouts, keyed by (circuit QASM,
 #: coupling fingerprint, seed).  Building one costs two full SABRE routing
 #: passes, and batch jobs that share a circuit+device (e.g. the CODAR and
-#: SABRE legs of the speedup sweep) would otherwise each pay it.
-_REVERSE_TRAVERSAL_MEMO: dict[tuple, list[int]] = {}
+#: SABRE legs of the speedup sweep) would otherwise each pay it.  Server
+#: worker threads share it; the layout is computed outside the lock, so two
+#: threads may both compute a missing entry (with the same result).
+_lock = threading.Lock()
+_REVERSE_TRAVERSAL_MEMO: dict[tuple, list[int]] = {}  #: guarded by _lock
 _REVERSE_TRAVERSAL_MEMO_LIMIT = 256
 
 
@@ -150,14 +154,17 @@ def _reverse_traversal_memoized(circuit: Circuit, device: Device,
 
     key = (circuit_to_qasm(circuit), device.num_qubits,
            tuple(device.coupling.edges), seed, rounds)
-    cached = _REVERSE_TRAVERSAL_MEMO.get(key)
+    with _lock:
+        cached = _REVERSE_TRAVERSAL_MEMO.get(key)
     if cached is not None:
         return Layout(cached)
     layout = reverse_traversal_layout(circuit, device, seed=seed,
                                       rounds=rounds)
-    if len(_REVERSE_TRAVERSAL_MEMO) >= _REVERSE_TRAVERSAL_MEMO_LIMIT:
-        _REVERSE_TRAVERSAL_MEMO.pop(next(iter(_REVERSE_TRAVERSAL_MEMO)))
-    _REVERSE_TRAVERSAL_MEMO[key] = layout.physical_list()
+    with _lock:
+        if len(_REVERSE_TRAVERSAL_MEMO) >= _REVERSE_TRAVERSAL_MEMO_LIMIT:
+            _REVERSE_TRAVERSAL_MEMO.pop(next(iter(_REVERSE_TRAVERSAL_MEMO)),
+                                        None)
+        _REVERSE_TRAVERSAL_MEMO[key] = layout.physical_list()
     return layout
 
 
@@ -168,7 +175,7 @@ class Router(abc.ABC):
     name: str = "router"
 
     #: Scoring-backend name (see :mod:`repro.compiler.backends`); ``None``
-    #: resolves to the registry default (``"python"``).  Set per instance by
+    #: resolves to the registry default (``"numpy"``).  Set per instance by
     #: the route stage / executor when a job selects a backend.
     backend: "str | None" = None
 

@@ -108,27 +108,3 @@ def swap_priority(phys_a: int, phys_b: int, coupling: CouplingGraph,
     return SwapPriority(basic=basic, fine=fine if use_fine else 0.0,
                         lookahead=lookahead)
 
-
-def best_swap(candidates: Sequence[tuple[int, int]], coupling: CouplingGraph,
-              layout: Layout, target_gates: Sequence[Gate],
-              use_fine: bool = True,
-              lookahead_gates: Sequence[Gate] = ()
-              ) -> tuple[tuple[int, int], SwapPriority] | None:
-    """The highest-priority candidate SWAP, or None when there are no candidates.
-
-    Ties beyond ``(H_basic, H_fine, lookahead)`` are broken deterministically
-    by the physical edge's index order so results are reproducible.
-    """
-    best_edge: tuple[int, int] | None = None
-    best_priority: SwapPriority | None = None
-    for edge in candidates:
-        priority = swap_priority(edge[0], edge[1], coupling, layout,
-                                 target_gates, use_fine=use_fine,
-                                 lookahead_gates=lookahead_gates)
-        if (best_priority is None
-                or priority > best_priority
-                or (priority == best_priority and edge < best_edge)):
-            best_edge, best_priority = edge, priority
-    if best_edge is None:
-        return None
-    return best_edge, best_priority

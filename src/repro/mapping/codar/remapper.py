@@ -3,7 +3,9 @@
 CODAR simulates an execution timeline.  Each iteration ("cycle") performs the
 three steps of Fig. 4:
 
-1. compute the Commutative-Front set ``I_CF`` of the remaining gate sequence;
+1. take the Commutative-Front set ``I_CF`` of the remaining gate sequence,
+   which :class:`~repro.core.commutativity.IncrementalFront` keeps up to date
+   as gates launch instead of recomputing it every cycle;
 2. launch every directly executable CF gate (lock-free and, for two-qubit
    gates, mapped onto coupled physical qubits), moving it from the input
    sequence to the output and advancing the operands' qubit locks by the
@@ -22,7 +24,8 @@ input sequence is exhausted.
 The router is configurable so the ablation experiments can disable each
 mechanism independently:
 
-* ``use_commutativity=False`` falls back to the plain dependency front;
+* ``use_commutativity=False`` falls back to the plain dependency front
+  (the same structure without a commutation checker);
 * ``use_fine_priority=False`` drops the ``H_fine`` tie-breaker;
 * routing with :data:`repro.arch.durations.UNIFORM_DURATIONS` removes
   duration awareness (all locks expire together).
@@ -35,8 +38,7 @@ from dataclasses import dataclass
 from repro.arch.devices import Device
 from repro.arch.maqam import MaQAM
 from repro.core.circuit import Circuit
-from repro.core.commutativity import (CommutativityChecker, commutative_front,
-                                      dependency_front)
+from repro.core.commutativity import CommutativityChecker, IncrementalFront
 from repro.core.gates import Gate
 from repro.mapping.base import Router
 from repro.mapping.layout import Layout
@@ -76,79 +78,65 @@ class CodarRouter(Router):
         self.config = config or CodarConfig()
 
     # ------------------------------------------------------------------ #
-    def _front_indices(self, gates: list[Gate],
-                       checker: CommutativityChecker) -> list[int]:
-        if self.config.use_commutativity:
-            return commutative_front(
-                gates, checker,
-                max_front=self.config.max_front_size,
-                scan_limit=self.config.front_scan_limit,
-            )
-        return dependency_front(gates[: self.config.front_scan_limit])
-
     def _route(self, circuit: Circuit, device: Device,
                layout: Layout) -> tuple[Circuit, Layout, int, dict]:
         machine = MaQAM.create(device, layout)
         coupling = device.coupling
-        checker = CommutativityChecker()
 
         # Barriers are scheduling hints for other backends; CODAR's own
         # timeline supersedes them, so they are dropped before routing.
-        remaining: list[Gate] = [g for g in circuit.gates if not g.is_barrier]
+        gates: list[Gate] = [g for g in circuit.gates if not g.is_barrier]
+        if self.config.use_commutativity:
+            pending = IncrementalFront(gates, CommutativityChecker(),
+                                       max_front=self.config.max_front_size,
+                                       scan_limit=self.config.front_scan_limit)
+        else:
+            pending = IncrementalFront(gates,
+                                       scan_limit=self.config.front_scan_limit)
         routed = Circuit(device.num_qubits, circuit.num_clbits,
                          name=f"{circuit.name}@{device.name}")
         swap_count = 0
         cycles = 0
         deadlocks = 0
 
-        # The CF front is a pure function of the gate sequence; ``remaining``
-        # is only rebound when gates launch, so cycles that merely insert
-        # SWAPs or advance the clock can reuse the previous front verbatim.
-        front_for: list[Gate] | None = None
-        front: list[int] = []
-
-        while remaining:
+        while pending:
             cycles += 1
-            if remaining is not front_for:
-                front = self._front_indices(remaining, checker)
-                front_for = remaining
-            launched_indices: list[int] = []
+            front = pending.front()
+            launched = False
 
             # --- Step 2: launch every directly executable CF gate. -----------
-            for idx in front:
-                gate = remaining[idx]
+            for position in front:
+                gate = gates[position]
                 if not machine.gate_is_executable(gate):
                     continue
                 physical = machine.physical_qubits(gate)
                 machine.launch(gate.name, physical)
                 routed.append(Gate(gate.name, physical, gate.params, gate.cbits,
                                    spec=gate.spec))
-                launched_indices.append(idx)
-            if launched_indices:
-                launched_set = set(launched_indices)
-                remaining = [g for i, g in enumerate(remaining) if i not in launched_set]
-                if not remaining:
+                pending.launch(position)
+                launched = True
+            if launched:
+                if not pending:
                     break
                 # Launching gates may promote new gates into the CF set; expose
                 # them to the SWAP heuristic of this same cycle.
-                front = self._front_indices(remaining, checker)
-                front_for = remaining
+                front = pending.front()
 
             # --- Step 3: greedy SWAP insertion for blocked CF CNOTs. ----------
             # Candidate SWAPs are anchored on the CNOTs that connectivity still
             # blocks, but the priority (Equation 1) is evaluated over *all*
             # two-qubit CF gates: a SWAP that pulls apart an already-adjacent
             # pair waiting on a qubit lock must pay for it.
-            cf_two_qubit = [remaining[idx] for idx in front
-                            if remaining[idx].num_qubits == 2]
+            cf_two_qubit = [gates[position] for position in front
+                            if gates[position].num_qubits == 2]
             unresolved = [
                 gate for gate in cf_two_qubit
                 if not coupling.are_adjacent(*machine.physical_qubits(gate))
             ]
-            progressed = bool(launched_indices)
+            progressed = launched
             if unresolved:
                 candidates = self._candidate_swaps(machine, unresolved)
-                lookahead = self._lookahead_gates(remaining, front)
+                lookahead = self._lookahead_gates(gates, pending, front)
                 inserted = self._insert_swaps(machine, routed, candidates,
                                               cf_two_qubit,
                                               require_positive=True,
@@ -205,19 +193,21 @@ class CodarRouter(Router):
                     seen.add(edge)
         return sorted(seen)
 
-    def _lookahead_gates(self, remaining: list[Gate], front: list[int]) -> list[Gate]:
+    def _lookahead_gates(self, gates: list[Gate], pending: IncrementalFront,
+                         front: list[int]) -> list[Gate]:
         """Two-qubit gates just beyond the CF set, used only for tie-breaking."""
         if self.config.lookahead_size <= 0:
             return []
         in_front = set(front)
-        gates: list[Gate] = []
-        for index, gate in enumerate(remaining):
-            if index in in_front or gate.num_qubits != 2:
+        lookahead: list[Gate] = []
+        for position in pending.remaining():
+            gate = gates[position]
+            if position in in_front or gate.num_qubits != 2:
                 continue
-            gates.append(gate)
-            if len(gates) >= self.config.lookahead_size:
+            lookahead.append(gate)
+            if len(lookahead) >= self.config.lookahead_size:
                 break
-        return gates
+        return lookahead
 
     def _insert_swaps(self, machine: MaQAM, routed: Circuit,
                       candidates: list[tuple[int, int]], unresolved: list[Gate],

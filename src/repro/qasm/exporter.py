@@ -19,14 +19,20 @@ _NEEDS_DECLARATION = {
 
 
 def _format_param(value: float) -> str:
-    """Render an angle, using multiples of pi when they are exact enough."""
+    """Render an angle as ``num*pi/denom`` when it is one to within 1e-12.
+
+    ``denom`` is tried in the order (1, 2, 3, 4, 6, 8, 16, 32) with
+    ``1 <= |num| <= 64``.  For a given ``denom`` the candidates are ``pi/32``
+    or more apart, so the only ``num`` that can match is the nearest integer
+    to ``value * denom / pi``.
+    """
     if value == 0:
         return "0"
-    for denom in (1, 2, 3, 4, 6, 8, 16, 32):
-        for num in range(-64, 65):
-            if num == 0:
-                continue
-            if abs(value - num * math.pi / denom) < 1e-12:
+    # Also false for inf and nan, which no multiple of pi matches.
+    if abs(value) < 65 * math.pi:
+        for denom in (1, 2, 3, 4, 6, 8, 16, 32):
+            num = int(round(value * denom / math.pi))
+            if 1 <= abs(num) <= 64 and abs(value - num * math.pi / denom) < 1e-12:
                 sign = "-" if num < 0 else ""
                 num = abs(num)
                 numerator = "pi" if num == 1 else f"{num}*pi"

@@ -308,6 +308,22 @@ def evaluate_expr(expr: ast.Expr, bindings: dict[str, float]) -> float:
     raise QasmError(f"cannot evaluate expression node {expr!r}")
 
 
+def _evaluate_params(call: ast.GateCall,
+                     bindings: dict[str, float]) -> tuple[float, ...]:
+    """The parameters of ``call``, evaluated; each must be a finite number.
+
+    A literal such as ``1e999`` evaluates to ``inf`` (and ``1e999-1e999`` to
+    ``nan``), which no gate can apply and the exporter cannot write back.
+    """
+    params = tuple(evaluate_expr(p, bindings) for p in call.params)
+    for value in params:
+        if not math.isfinite(value):
+            raise QasmError(f"line {call.line}: parameter of gate {call.name!r} "
+                            f"evaluates to {value!r}; gate parameters must be "
+                            "finite")
+    return params
+
+
 # --------------------------------------------------------------------------- #
 # Built-in composite gates (the part of qelib1.inc not elementary in maQAM)
 # --------------------------------------------------------------------------- #
@@ -428,7 +444,7 @@ class _Elaborator:
             circuit.append(Gate("measure", (q,), cbits=(c,)))
 
     def _emit_gate_call(self, call: ast.GateCall, circuit: Circuit) -> None:
-        params = tuple(evaluate_expr(p, {}) for p in call.params)
+        params = _evaluate_params(call, {})
         operand_lists = [self._qubit_indices(ref) for ref in call.operands]
         lengths = {len(ops) for ops in operand_lists}
         broadcast = max(lengths) if lengths else 1
@@ -457,7 +473,7 @@ class _Elaborator:
             bindings = dict(zip(definition.params, params))
             qubit_map = dict(zip(definition.qargs, qubits))
             for inner in definition.body:
-                inner_params = tuple(evaluate_expr(p, bindings) for p in inner.params)
+                inner_params = _evaluate_params(inner, bindings)
                 inner_qubits = []
                 for ref in inner.operands:
                     if ref.name not in qubit_map:

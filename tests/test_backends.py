@@ -57,8 +57,8 @@ def _candidate_edges(coupling) -> list[tuple[int, int]]:
 class TestRegistry:
     def test_builtin_backends_are_registered(self):
         assert {"python", "numpy"} <= set(backend_names())
-        assert DEFAULT_BACKEND == "python"
-        assert get_backend().name == "python"
+        assert DEFAULT_BACKEND == "numpy"
+        assert get_backend().name == "numpy"
         assert get_backend("numpy").name == "numpy"
         for name, description in list_backends().items():
             assert isinstance(description, str)
@@ -66,7 +66,7 @@ class TestRegistry:
 
     def test_backends_are_lazy_singletons(self):
         assert get_backend("numpy") is get_backend("numpy")
-        assert get_backend(None) is get_backend("python")
+        assert get_backend(None) is get_backend("numpy")
 
     def test_unknown_backend_raises_with_known_names(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -253,6 +253,20 @@ class TestKeyStability:
         with pytest.raises(ValueError, match="unknown backend"):
             CompileJob(qasm=qasm, device="grid_4x4", router="codar",
                        backend="fortran")
+
+    def test_unset_backend_job_reports_the_default_that_ran(self):
+        from repro.service.executor import execute_job
+        from repro.service.jobs import CompileJob
+
+        qasm = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[4];\n'
+                'cx q[0],q[3];\ncx q[1],q[2];\n')
+        outcome = execute_job(CompileJob(qasm=qasm, device="grid_4x4",
+                                         router="codar"))
+        assert outcome.ok
+        extra = outcome.summary["extra"]
+        assert extra["backend"] == DEFAULT_BACKEND == "numpy"
+        route_rows = [row for row in extra["stages"] if row["stage"] == "route"]
+        assert [row["metrics"]["backend"] for row in route_rows] == ["numpy"]
 
     def test_candidate_key_stability_and_seed_pinning(self):
         from repro.portfolio.candidates import Candidate

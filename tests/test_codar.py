@@ -7,7 +7,8 @@ from repro.arch.devices import Device, get_device
 from repro.arch.durations import GateDurationMap
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
-from repro.mapping.codar.priority import SwapPriority, best_swap, swap_priority
+from repro.compiler.backends import backend_names, get_backend
+from repro.mapping.codar.priority import SwapPriority, swap_priority
 from repro.mapping.codar.remapper import CodarConfig, CodarRouter
 from repro.mapping.layout import Layout
 from repro.mapping.verification import verify_routing
@@ -73,13 +74,18 @@ class TestSwapPriority:
     def test_best_swap_selects_highest_priority(self):
         coupling, layout = self._line_layout()
         gate = Gate("cx", (0, 3))
-        edge, priority = best_swap([(0, 1), (1, 2), (2, 3)], coupling, layout, [gate])
-        assert priority.basic == 1
-        assert edge in {(0, 1), (2, 3)}
+        for name in backend_names():
+            edge, priority = get_backend(name).codar_best_swap(
+                coupling, layout, [(0, 1), (1, 2), (2, 3)], [gate])
+            assert priority.basic == 1
+            # Equal priorities: the smallest edge wins.
+            assert edge == (0, 1), name
 
     def test_best_swap_empty_candidates(self):
         coupling, layout = self._line_layout()
-        assert best_swap([], coupling, layout, [Gate("cx", (0, 3))]) is None
+        for name in backend_names():
+            assert get_backend(name).codar_best_swap(
+                coupling, layout, [], [Gate("cx", (0, 3))]) is None, name
 
 
 def route(circuit, device=None, config=None, layout=None):
@@ -111,6 +117,18 @@ class TestCodarRouting:
         circ = Circuit(3).h(0).cx(0, 2).measure_all()
         result = route(circ, get_device("line", num_qubits=3))
         assert result.routed.count_ops()["measure"] == 3
+
+    def test_repeated_gate_object_routes_every_occurrence(self):
+        # Gate is a frozen value, so one object may sit at several positions;
+        # the front bookkeeping must track positions, not object identity.
+        shared = Gate("cx", (0, 3))
+        circ = Circuit(4)
+        for gate in (shared, Gate("h", (1,)), shared, Gate("cx", (1, 2)), shared):
+            circ.append(gate)
+        result = route(circ, get_device("ibm_q16_melbourne"))
+        program = [g.name for g in result.routed if not g.is_routing_swap]
+        assert sorted(program) == ["cx", "cx", "cx", "cx", "h"]
+        verify_routing(result)
 
     def test_barriers_dropped_by_router(self):
         circ = Circuit(2).h(0).barrier().cx(0, 1)

@@ -1,10 +1,13 @@
 """Unit tests for commutation rules and Commutative-Front detection."""
 
+import random
+
 import pytest
 
 from repro.core.circuit import Circuit
 from repro.core.commutativity import (
     CommutativityChecker,
+    IncrementalFront,
     commutative_front,
     dependency_front,
     gates_commute,
@@ -149,3 +152,112 @@ class TestDependencyFront:
         dep = set(dependency_front(circ.gates))
         cf = set(commutative_front(circ.gates))
         assert dep <= cf
+
+
+def _mixed_gates(rng: random.Random, num_qubits: int, count: int,
+                 barriers: bool) -> list[Gate]:
+    """Random gates covering every commutation rule, the unitary fallback,
+    measurements and (optionally) scoped and global barriers."""
+    one = ["h", "x", "rx", "z", "rz", "t", "s", "ry", "sx"]
+    two = ["cx", "cx", "cx", "cz", "cp", "rzz", "swap"]
+    gates: list[Gate] = []
+    for _ in range(count):
+        roll = rng.random()
+        if barriers and roll < 0.03:
+            gates.append(Gate("barrier", ()))
+        elif barriers and roll < 0.06:
+            gates.append(Gate("barrier", tuple(rng.sample(range(num_qubits), 2))))
+        elif roll < 0.09:
+            gates.append(Gate("measure", (rng.randrange(num_qubits),), cbits=(0,)))
+        elif roll < 0.45:
+            name = rng.choice(one)
+            params = (rng.choice([0.5, 1.25]),) if name in ("rx", "rz", "ry") else ()
+            gates.append(Gate(name, (rng.randrange(num_qubits),), params))
+        else:
+            name = rng.choice(two)
+            params = (0.75,) if name in ("cp", "rzz") else ()
+            gates.append(Gate(name, tuple(rng.sample(range(num_qubits), 2)), params))
+    return gates
+
+
+def _assert_tracks_reference(gates, rng, checker=None, max_front=None,
+                             scan_limit=None) -> None:
+    """Launch random front subsets until empty; after every launch step the
+    incremental front equals the reference recomputed on what remains."""
+    pending = IncrementalFront(gates, checker, max_front=max_front,
+                               scan_limit=scan_limit)
+    remaining = list(range(len(gates)))
+    while True:
+        sequence = [gates[p] for p in remaining]
+        if checker is None:
+            limit = len(sequence) if scan_limit is None else scan_limit
+            expected = dependency_front(sequence[:limit])
+        else:
+            expected = commutative_front(sequence, checker, max_front=max_front,
+                                         scan_limit=scan_limit)
+        assert pending.front() == [remaining[i] for i in expected]
+        assert list(pending.remaining()) == remaining
+        assert len(pending) == len(remaining)
+        if not remaining:
+            return
+        front = pending.front()
+        for position in rng.sample(front, rng.randint(1, len(front))):
+            pending.launch(position)
+            remaining.remove(position)
+
+
+#: ``(max_front, scan_limit)``: CODAR's defaults, a tight window that makes
+#: launches refill it constantly, and the unbounded reference.
+_FRONT_CONFIGS = [(32, 64), (4, 8), (None, None)]
+
+
+class TestIncrementalFront:
+    @pytest.mark.parametrize("max_front,scan_limit", _FRONT_CONFIGS)
+    def test_matches_commutative_front_on_random_circuits(self, max_front,
+                                                          scan_limit):
+        rng = random.Random(1234)
+        checker = CommutativityChecker()
+        for _ in range(25):
+            gates = _mixed_gates(rng, rng.randint(2, 6), rng.randint(1, 90),
+                                 barriers=True)
+            _assert_tracks_reference(gates, rng, checker, max_front, scan_limit)
+
+    @pytest.mark.parametrize("max_front,scan_limit", _FRONT_CONFIGS)
+    def test_matches_commutative_front_on_suite_circuits(self, max_front,
+                                                         scan_limit):
+        from repro.workloads.suite import benchmark_suite
+
+        rng = random.Random(99)
+        checker = CommutativityChecker()
+        for case in benchmark_suite(max_qubits=6)[:12]:
+            gates = [g for g in case.build().gates if not g.is_barrier]
+            _assert_tracks_reference(gates[:300], rng, checker, max_front,
+                                     scan_limit)
+
+    @pytest.mark.parametrize("scan_limit", [64, 8])
+    def test_without_checker_matches_dependency_front(self, scan_limit):
+        rng = random.Random(7)
+        for _ in range(25):
+            gates = _mixed_gates(rng, rng.randint(2, 6), rng.randint(1, 90),
+                                 barriers=False)
+            _assert_tracks_reference(gates, rng, scan_limit=scan_limit)
+
+    def test_repeated_gate_object_is_tracked_per_position(self):
+        shared = Gate("cx", (0, 1))
+        gates = [shared, Gate("h", (0,)), shared, shared]
+        pending = IncrementalFront(gates, CommutativityChecker())
+        assert pending.front() == [0]
+        pending.launch(0)
+        assert pending.front() == [1]
+        pending.launch(1)
+        assert pending.front() == [2, 3]
+        pending.launch(3)
+        assert pending.front() == [2]
+        pending.launch(2)
+        assert len(pending) == 0 and pending.front() == []
+
+    def test_zero_scan_limit_exposes_the_head(self):
+        gates = [Gate("h", (0,)), Gate("h", (1,))]
+        pending = IncrementalFront(gates, CommutativityChecker(), scan_limit=0)
+        assert pending.front() == [0]
+        assert commutative_front(gates, scan_limit=0) == [0]

@@ -8,6 +8,7 @@ import pytest
 from repro.core.circuit import Circuit
 from repro.core.unitary import circuit_unitary
 from repro.qasm import QasmError, circuit_to_qasm, parse_qasm
+from repro.qasm.exporter import _format_param
 from repro.qasm.lexer import QasmSyntaxError, tokenize
 from repro.qasm.parser import evaluate_expr, _Parser
 
@@ -186,6 +187,18 @@ class TestParser:
         with pytest.raises(QasmError, match="line"):
             parse_qasm("qreg q[1];\nh q[0]")  # missing semicolon -> error at eof
 
+    @pytest.mark.parametrize("angle,shown", [("1e999", "inf"),
+                                             ("-1e999", "-inf"),
+                                             ("1e999-1e999", "nan")])
+    def test_non_finite_parameter_raises_with_line(self, angle, shown):
+        with pytest.raises(QasmError, match=f"line 3: .*'rz'.* {shown};"):
+            parse_qasm(f"qreg q[1];\nh q[0];\nrz({angle}) q[0];\n")
+
+    def test_non_finite_parameter_inside_gate_body_raises(self):
+        with pytest.raises(QasmError, match="line 2: .*'rz'.* inf;"):
+            parse_qasm("qreg q[1];\ngate g(a) x { rz(a*1e300) x; }\n"
+                       "g(1e10) q[0];\n")
+
 
 class TestExporter:
     def test_roundtrip_preserves_gates(self):
@@ -209,6 +222,39 @@ class TestExporter:
         text = circuit_to_qasm(Circuit(4).h(0))
         assert text.startswith("OPENQASM 2.0;")
         assert "qreg q[4];" in text
+
+    @staticmethod
+    def _format_param_by_search(value: float) -> str:
+        """The exhaustive (denom, num) search the exporter used to run."""
+        if value == 0:
+            return "0"
+        for denom in (1, 2, 3, 4, 6, 8, 16, 32):
+            for num in range(-64, 65):
+                if num == 0:
+                    continue
+                if abs(value - num * math.pi / denom) < 1e-12:
+                    sign = "-" if num < 0 else ""
+                    num = abs(num)
+                    numerator = "pi" if num == 1 else f"{num}*pi"
+                    return (f"{sign}{numerator}" if denom == 1
+                            else f"{sign}{numerator}/{denom}")
+        return repr(float(value))
+
+    def test_format_param_matches_exhaustive_search(self):
+        import random
+
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308,
+                  5e-324, 65 * math.pi, -64 * math.pi - 1e-13]
+        for denom in (1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 32, 64):
+            for k in range(-70, 71):
+                base = k * math.pi / denom
+                values += [base, base + 1e-13, base - 1e-13, base + 2e-12,
+                           base - 2e-12, math.nextafter(base, math.inf),
+                           math.nextafter(base, -math.inf)]
+        rng = random.Random(5)
+        values += [rng.uniform(-220.0, 220.0) for _ in range(2000)]
+        for value in values:
+            assert _format_param(value) == self._format_param_by_search(value), value
 
     def test_xx_gate_gets_declaration(self):
         circ = Circuit(2).add("xx", [0, 1])

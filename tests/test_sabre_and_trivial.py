@@ -143,6 +143,55 @@ class TestReverseTraversalLayout:
                                    initial_layout=Layout.identity(20)).swap_count
         assert refined_swaps <= identity_swaps + 5
 
+    def test_memo_is_safe_under_concurrent_eviction(self, monkeypatch):
+        """Two jobs that miss together must not both evict the same entry."""
+        import threading
+
+        from repro.mapping import base
+        from repro.mapping.sabre import remapper
+
+        computed = threading.Barrier(2)
+        evicting = threading.Barrier(2)
+
+        class RendezvousMemo(dict):
+            def pop(self, *args):
+                # Hold the first evictor until the second one arrives too.
+                # Under the memo lock the second cannot arrive, so the wait
+                # times out and the evictions run one after the other.
+                try:
+                    evicting.wait(timeout=0.5)
+                except threading.BrokenBarrierError:
+                    pass
+                return super().pop(*args)
+
+        def fake_layout(circuit, device, seed=None, rounds=1):
+            computed.wait(timeout=10)  # both threads have missed
+            return Layout.identity(device.num_qubits)
+
+        monkeypatch.setattr(remapper, "reverse_traversal_layout", fake_layout)
+        monkeypatch.setattr(base, "_REVERSE_TRAVERSAL_MEMO",
+                            RendezvousMemo({("oldest",): [0, 1, 2, 3]}))
+        monkeypatch.setattr(base, "_REVERSE_TRAVERSAL_MEMO_LIMIT", 1)
+        device = get_device("line", num_qubits=4)
+        errors: list[Exception] = []
+
+        def worker(seed: int) -> None:
+            try:
+                base._reverse_traversal_memoized(Circuit(4).h(0), device,
+                                                 seed=seed)
+            except Exception as exc:  # pragma: no cover - the bug
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        with base._lock:
+            assert len(base._REVERSE_TRAVERSAL_MEMO) == 1
+
 
 class TestTrivialRouter:
     def test_moves_operand_along_shortest_path(self):
